@@ -1,8 +1,9 @@
 // FAULTS — the robustness layer under deterministic fault injection.
 //
-// A fixed fleet of client threads drives a ConcurrentAdmitter through a
-// grid of fault rates. At each rate a seeded FaultPlan (exec/faultplan.h)
-// decides, purely as a function of (seed, txn, op), which submissions
+// A fixed fleet of client threads drives the single-core admitter (a
+// one-shard ShardedAdmitter) through a grid of fault rates. At each
+// rate a seeded FaultPlan (exec/faultplan.h) decides, purely as a
+// function of (seed, txn, op), which submissions
 // stall, which are dropped on the floor (the client walks away and the
 // transaction is aborted), which transactions abort themselves
 // mid-stream, and how often the admission core pauses. On top of the
@@ -34,7 +35,8 @@
 #include "exec/backoff.h"
 #include "exec/faultplan.h"
 #include "obs/trace.h"
-#include "sched/admitter.h"
+#include "shard/router.h"
+#include "shard/sharded_admitter.h"
 #include "util/json.h"
 #include "util/rng.h"
 #include "util/table.h"
@@ -88,8 +90,7 @@ FaultRun RunAtRate(const TransactionSet& txns, const AtomicitySpec& spec,
   const FaultPlan plan(seed, params);
 
   Tracer tracer(TraceLevel::kCounters);
-  AdmitterOptions options;
-  options.record_log = true;
+  ShardedAdmitterOptions options;
   // With `clients` blocking submitters the ring never holds more than
   // one request per client (plus controls), and at most `clients`
   // transactions are live at once — so both limits sit just below that
@@ -98,7 +99,9 @@ FaultRun RunAtRate(const TransactionSet& txns, const AtomicitySpec& spec,
   options.shed_high_water = clients - 2;
   options.tracer = &tracer;
   options.faults = &plan;
-  ConcurrentAdmitter admitter(txns, spec, options);
+  ShardedAdmitter admitter(
+      txns, spec, ShardRouter(txns.object_count(), 1, ShardStrategy::kRange),
+      options);
 
   std::vector<std::uint64_t> drops(clients, 0);
   std::vector<std::uint64_t> stalls(clients, 0);

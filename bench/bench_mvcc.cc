@@ -2,8 +2,9 @@
 //
 // Sweeps the read-only transaction ratio (workload/generator.h's
 // read_only_txn_ratio knob) and, per cell, runs the same workload twice
-// through ConcurrentAdmitter: snapshot_reads ON vs OFF, with a fixed
-// client fleet walking transactions in program order. The headline
+// through the single-core admitter (a one-shard ShardedAdmitter):
+// snapshot_reads ON vs OFF, with a fixed client fleet walking
+// transactions in program order. The headline
 // metric is committed READ-ONLY transaction throughput: with the fast
 // path on, settled readers commit client-side against the committed
 // watermark — zero RSG arcs, zero admission-core traffic — so read
@@ -20,8 +21,7 @@
 //   2. Bit-identity at ratio 0: with no read-only transactions the fast
 //      path must be invisible — a deterministic lock-step feed must
 //      produce decision-for-decision identical outcomes and identical
-//      committed histories, ON vs OFF, for ConcurrentAdmitter AND
-//      ShardedAdmitter.
+//      committed histories, ON vs OFF, at one shard and at four.
 //   3. Zero arcs at ratio 1: an all-readers workload must be admitted
 //      entirely by the fast path (snapshot_admits == txn_count) with
 //      the wrapped checker receiving zero arcs.
@@ -42,7 +42,6 @@
 #include "core/online.h"
 #include "exec/backoff.h"
 #include "model/op_indexer.h"
-#include "sched/admitter.h"
 #include "shard/router.h"
 #include "shard/sharded_admitter.h"
 #include "util/json.h"
@@ -80,7 +79,7 @@ std::size_t ReadOnlyTxnCount(const TransactionSet& txns) {
 }
 
 struct MvccRun {
-  std::string admitter;  // "conc" | "sharded"
+  std::string admitter;  // "single" (one shard) | "sharded"
   double ratio = 0.0;
   bool snapshot_on = false;
   std::size_t txns = 0;
@@ -122,32 +121,25 @@ void GateReplay(const TransactionSet& txns, const AtomicitySpec& spec,
   }
 }
 
-/// One ConcurrentAdmitter lifetime: `clients` threads walk transactions
+/// One admitter lifetime over `shard_count` range shards (one shard is
+/// the single-core configuration): `clients` threads walk transactions
 /// in program order through SubmitWithBackoff.
-MvccRun RunConcCell(double ratio, bool snapshot_on, std::size_t txn_count,
-                    std::size_t object_count, std::size_t clients,
-                    std::uint64_t seed) {
+MvccRun RunCell(const TransactionSet& txns, const AtomicitySpec& spec,
+                double ratio, bool snapshot_on, std::size_t shard_count,
+                std::size_t clients, std::uint64_t seed) {
   MvccRun run;
-  run.admitter = "conc";
+  run.admitter = shard_count == 1 ? "single" : "sharded";
   run.ratio = ratio;
   run.snapshot_on = snapshot_on;
-
-  Rng rng(seed);
-  WorkloadParams wp;
-  wp.txn_count = txn_count;
-  wp.min_ops_per_txn = 2;
-  wp.max_ops_per_txn = 5;
-  wp.object_count = object_count;
-  wp.read_ratio = 0.6;
-  wp.read_only_txn_ratio = ratio;
-  const TransactionSet txns = GenerateTransactions(wp, &rng);
-  const AtomicitySpec spec = RandomSpec(txns, 0.5, &rng);
   run.txns = txns.txn_count();
   run.read_only_txns = ReadOnlyTxnCount(txns);
 
-  AdmitterOptions options;
+  ShardedAdmitterOptions options;
   options.snapshot_reads = snapshot_on;
-  ConcurrentAdmitter admitter(txns, spec, options);
+  ShardedAdmitter admitter(
+      txns, spec,
+      ShardRouter(txns.object_count(), shard_count, ShardStrategy::kRange),
+      options);
   const auto start = std::chrono::steady_clock::now();
   std::vector<std::thread> fleet;
   fleet.reserve(clients);
@@ -171,88 +163,9 @@ MvccRun RunConcCell(double ratio, bool snapshot_on, std::size_t txn_count,
 
   run.snapshot_admits = admitter.snapshot_admits();
   run.snapshot_escalations = admitter.snapshot_escalations();
-  run.checker_arcs = admitter.checker().arcs_submitted();
-  if (admitter.version_store() != nullptr) {
-    run.chains = admitter.version_store()->ChainStats();
+  for (std::uint32_t shard = 0; shard < shard_count; ++shard) {
+    run.checker_arcs += admitter.shard_checker(shard).arcs_submitted();
   }
-
-  std::vector<std::uint8_t> committed(txns.txn_count(), 0);
-  for (TxnId t = 0; t < txns.txn_count(); ++t) {
-    if (!admitter.TxnCommitted(t)) continue;
-    committed[t] = 1;
-    ++run.committed;
-    bool read_only = true;
-    for (const Operation& op : txns.txn(t).ops()) {
-      if (op.is_write()) read_only = false;
-    }
-    if (read_only) ++run.committed_read_txns;
-  }
-  const std::vector<Operation> log = admitter.CommittedLog();
-  run.committed_ops = log.size();
-  run.ops_per_sec =
-      run.seconds > 0 ? static_cast<double>(run.committed_ops) / run.seconds
-                      : 0.0;
-  run.read_txns_per_sec =
-      run.seconds > 0
-          ? static_cast<double>(run.committed_read_txns) / run.seconds
-          : 0.0;
-  GateReplay(txns, spec, log, committed, &run);
-  return run;
-}
-
-/// One ShardedAdmitter lifetime over a range-partitioned workload.
-MvccRun RunShardedCell(double ratio, bool snapshot_on, std::size_t txn_count,
-                       std::size_t shard_count, std::size_t objects_per_shard,
-                       std::size_t clients, std::uint64_t seed) {
-  MvccRun run;
-  run.admitter = "sharded";
-  run.ratio = ratio;
-  run.snapshot_on = snapshot_on;
-
-  Rng rng(seed);
-  ShardedWorkloadParams wp;
-  wp.txn_count = txn_count;
-  wp.min_ops_per_txn = 2;
-  wp.max_ops_per_txn = 5;
-  wp.shard_count = shard_count;
-  wp.objects_per_shard = objects_per_shard;
-  wp.cross_shard_ratio = 0.1;
-  wp.read_ratio = 0.6;
-  wp.read_only_txn_ratio = ratio;
-  const TransactionSet txns = GenerateShardedTransactions(wp, &rng);
-  const AtomicitySpec spec = RandomSpec(txns, 0.5, &rng);
-  run.txns = txns.txn_count();
-  run.read_only_txns = ReadOnlyTxnCount(txns);
-
-  ShardedAdmitterOptions options;
-  options.snapshot_reads = snapshot_on;
-  ShardedAdmitter admitter(
-      txns, spec,
-      ShardRouter(txns.object_count(), shard_count, ShardStrategy::kRange),
-      options);
-  const auto start = std::chrono::steady_clock::now();
-  std::vector<std::thread> fleet;
-  fleet.reserve(clients);
-  for (std::size_t c = 0; c < clients; ++c) {
-    fleet.emplace_back([&, c] {
-      Backoff backoff(seed ^ (0x5A4D0000ULL + c));
-      for (TxnId t = static_cast<TxnId>(c); t < txns.txn_count();
-           t = static_cast<TxnId>(t + clients)) {
-        for (std::uint32_t i = 0; i < txns.txn(t).size(); ++i) {
-          if (!admitter.SubmitWithBackoff(txns.txn(t).op(i), backoff).ok()) {
-            break;
-          }
-        }
-        backoff.Reset();
-      }
-    });
-  }
-  for (std::thread& client : fleet) client.join();
-  admitter.Stop();
-  run.seconds = SecondsSince(start);
-
-  run.snapshot_admits = admitter.snapshot_admits();
-  run.snapshot_escalations = admitter.snapshot_escalations();
   if (admitter.version_store() != nullptr) {
     run.chains = admitter.version_store()->ChainStats();
   }
@@ -283,7 +196,7 @@ MvccRun RunShardedCell(double ratio, bool snapshot_on, std::size_t txn_count,
 
 /// Hard gate 2: with read_only_txn_ratio = 0 (every transaction has a
 /// writer) the fast path must be bit-invisible. Lock-step deterministic
-/// round-robin feeds, ON vs OFF, for both admitters.
+/// round-robin feeds, ON vs OFF, at one shard and at four.
 bool RatioZeroIdentical(std::size_t rounds, std::size_t txn_count,
                         std::uint64_t seed) {
   const Rng base(seed);
@@ -308,64 +221,49 @@ bool RatioZeroIdentical(std::size_t rounds, std::size_t txn_count,
         txns = GenerateTransactions(wp, &rng);
       }
       const AtomicitySpec spec = RandomSpec(txns, 0.5, &rng);
+      const ShardRouter router(txns.object_count(), sharded ? 4 : 1,
+                               ShardStrategy::kRange);
+      ShardedAdmitterOptions on_opts;
+      on_opts.snapshot_reads = true;
+      ShardedAdmitter on(txns, spec, router, on_opts);
+      ShardedAdmitter off(txns, spec, router);
 
-      const auto feed = [&](auto& on, auto& off) -> bool {
-        std::vector<std::uint32_t> next(txns.txn_count(), 0);
-        std::vector<std::uint8_t> dead(txns.txn_count(), 0);
-        bool progress = true;
-        while (progress) {
-          progress = false;
-          for (TxnId t = 0; t < txns.txn_count(); ++t) {
-            if (dead[t] != 0 || next[t] >= txns.txn(t).size()) continue;
-            const Operation& op = txns.txn(t).op(next[t]);
-            const AdmitResult a = on.SubmitAndWait(op);
-            const AdmitResult b = off.SubmitAndWait(op);
-            if (a.outcome != b.outcome) {
-              std::cerr << "identity gate: round " << round << " T" << t
-                        << " op " << next[t] << ": snapshot-on "
-                        << AdmitOutcomeName(a.outcome) << ", snapshot-off "
-                        << AdmitOutcomeName(b.outcome) << "\n";
-              return false;
-            }
-            ++next[t];
-            if (!a.ok()) dead[t] = 1;
-            progress = true;
+      std::vector<std::uint32_t> next(txns.txn_count(), 0);
+      std::vector<std::uint8_t> dead(txns.txn_count(), 0);
+      bool progress = true;
+      while (progress) {
+        progress = false;
+        for (TxnId t = 0; t < txns.txn_count(); ++t) {
+          if (dead[t] != 0 || next[t] >= txns.txn(t).size()) continue;
+          const Operation& op = txns.txn(t).op(next[t]);
+          const AdmitResult a = on.SubmitAndWait(op);
+          const AdmitResult b = off.SubmitAndWait(op);
+          if (a.outcome != b.outcome) {
+            std::cerr << "identity gate: round " << round << " T" << t
+                      << " op " << next[t] << ": snapshot-on "
+                      << AdmitOutcomeName(a.outcome) << ", snapshot-off "
+                      << AdmitOutcomeName(b.outcome) << "\n";
+            return false;
           }
+          ++next[t];
+          if (!a.ok()) dead[t] = 1;
+          progress = true;
         }
-        on.Stop();
-        off.Stop();
-        const std::vector<Operation> log_on = on.CommittedLog();
-        const std::vector<Operation> log_off = off.CommittedLog();
-        const OpIndexer indexer(txns);
-        bool same = log_on.size() == log_off.size();
-        for (std::size_t i = 0; same && i < log_on.size(); ++i) {
-          same = indexer.GlobalId(log_on[i]) == indexer.GlobalId(log_off[i]);
-        }
-        if (!same) {
-          std::cerr << "identity gate: round " << round
-                    << ": committed logs diverge (" << log_on.size() << " vs "
-                    << log_off.size() << " ops)\n";
-        }
-        return same;
-      };
-
-      if (sharded) {
-        ShardedAdmitterOptions on_opts;
-        on_opts.snapshot_reads = true;
-        ShardedAdmitter on(txns, spec,
-                           ShardRouter(txns.object_count(), 4,
-                                       ShardStrategy::kRange),
-                           on_opts);
-        ShardedAdmitter off(txns, spec,
-                            ShardRouter(txns.object_count(), 4,
-                                        ShardStrategy::kRange));
-        if (!feed(on, off)) return false;
-      } else {
-        AdmitterOptions on_opts;
-        on_opts.snapshot_reads = true;
-        ConcurrentAdmitter on(txns, spec, on_opts);
-        ConcurrentAdmitter off(txns, spec);
-        if (!feed(on, off)) return false;
+      }
+      on.Stop();
+      off.Stop();
+      const std::vector<Operation> log_on = on.CommittedLog();
+      const std::vector<Operation> log_off = off.CommittedLog();
+      const OpIndexer indexer(txns);
+      bool same = log_on.size() == log_off.size();
+      for (std::size_t i = 0; same && i < log_on.size(); ++i) {
+        same = indexer.GlobalId(log_on[i]) == indexer.GlobalId(log_off[i]);
+      }
+      if (!same) {
+        std::cerr << "identity gate: round " << round
+                  << ": committed logs diverge (" << log_on.size() << " vs "
+                  << log_off.size() << " ops)\n";
+        return false;
       }
     }
   }
@@ -416,10 +314,20 @@ int main(int argc, char** argv) {
 
   for (const double ratio : ratios) {
     const std::uint64_t seed = 0x36CC0000ULL + 977 * (++cell);
-    const MvccRun off = RunConcCell(ratio, /*snapshot_on=*/false, txn_count,
-                                    object_count, clients, seed);
-    const MvccRun on = RunConcCell(ratio, /*snapshot_on=*/true, txn_count,
-                                   object_count, clients, seed);
+    Rng rng(seed);
+    WorkloadParams wp;
+    wp.txn_count = txn_count;
+    wp.min_ops_per_txn = 2;
+    wp.max_ops_per_txn = 5;
+    wp.object_count = object_count;
+    wp.read_ratio = 0.6;
+    wp.read_only_txn_ratio = ratio;
+    const TransactionSet txns = GenerateTransactions(wp, &rng);
+    const AtomicitySpec spec = RandomSpec(txns, 0.5, &rng);
+    const MvccRun off = RunCell(txns, spec, ratio, /*snapshot_on=*/false,
+                                /*shard_count=*/1, clients, seed);
+    const MvccRun on = RunCell(txns, spec, ratio, /*snapshot_on=*/true,
+                               /*shard_count=*/1, clients, seed);
     record(off);
     record(on);
     if (ratio == 0.95 && off.read_txns_per_sec > 0) {
@@ -434,12 +342,23 @@ int main(int argc, char** argv) {
   // One sharded cell at the read-heavy ratio: the fast path composed
   // with partitioned admission.
   {
-    const MvccRun off =
-        RunShardedCell(0.95, /*snapshot_on=*/false, txn_count, 4,
-                       object_count / 4, clients, 0x36CC5A4DULL);
-    const MvccRun on =
-        RunShardedCell(0.95, /*snapshot_on=*/true, txn_count, 4,
-                       object_count / 4, clients, 0x36CC5A4DULL);
+    const std::uint64_t seed = 0x36CC5A4DULL;
+    Rng rng(seed);
+    ShardedWorkloadParams wp;
+    wp.txn_count = txn_count;
+    wp.min_ops_per_txn = 2;
+    wp.max_ops_per_txn = 5;
+    wp.shard_count = 4;
+    wp.objects_per_shard = object_count / 4;
+    wp.cross_shard_ratio = 0.1;
+    wp.read_ratio = 0.6;
+    wp.read_only_txn_ratio = 0.95;
+    const TransactionSet txns = GenerateShardedTransactions(wp, &rng);
+    const AtomicitySpec spec = RandomSpec(txns, 0.5, &rng);
+    const MvccRun off = RunCell(txns, spec, 0.95, /*snapshot_on=*/false,
+                                /*shard_count=*/4, clients, seed);
+    const MvccRun on = RunCell(txns, spec, 0.95, /*snapshot_on=*/true,
+                               /*shard_count=*/4, clients, seed);
     record(off);
     record(on);
   }

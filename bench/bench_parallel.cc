@@ -10,10 +10,10 @@
 //  2. Parallel brute-force: IsRelativelyConsistentParallel vs the serial
 //     IsRelativelyConsistent on random workloads — decision, witness
 //     and stats must match exactly.
-//  3. Admitter throughput: a ConcurrentAdmitter fed by 1/4/8/16 client
-//     threads (clients own disjoint transaction sets and submit in
-//     program order; obviously-conflict-free operations go down the
-//     Probe/SubmitDetached fast path, the rest block on SubmitAndWait).
+//  3. Admitter throughput: the single-core admitter (a one-shard
+//     ShardedAdmitter) fed by 1/4/8/16 client threads (clients own
+//     disjoint transaction sets and submit in program order through
+//     the blocking SubmitWithBackoff).
 //     Client-observed decision latency p50/p99 and end-to-end ops/sec
 //     are reported per client count, and the admitted log is replayed
 //     through a fresh serial checker — every admitted operation must
@@ -32,9 +32,11 @@
 
 #include "core/brute.h"
 #include "core/online.h"
+#include "exec/backoff.h"
 #include "exec/thread_pool.h"
 #include "model/schedule.h"
-#include "sched/admitter.h"
+#include "shard/router.h"
+#include "shard/sharded_admitter.h"
 #include "util/json.h"
 #include "util/rng.h"
 #include "util/table.h"
@@ -69,7 +71,6 @@ struct AdmitterRun {
   std::size_t ops = 0;
   std::size_t accepted = 0;
   std::size_t rejected = 0;
-  std::size_t fast_path = 0;
   double seconds = 0.0;
   double ops_per_sec = 0.0;
   std::uint64_t p50_ns = 0;
@@ -141,9 +142,8 @@ AdmitterRun MeasureAdmitter(const TransactionSet& txns,
   AdmitterRun run;
   run.clients = clients;
 
-  AdmitterOptions options;
-  options.record_log = true;
-  ConcurrentAdmitter admitter(txns, spec, options);
+  ShardedAdmitter admitter(
+      txns, spec, ShardRouter(txns.object_count(), 1, ShardStrategy::kRange));
 
   std::vector<std::vector<std::uint64_t>> latencies(clients);
   const auto start = std::chrono::steady_clock::now();
@@ -158,10 +158,6 @@ AdmitterRun MeasureAdmitter(const TransactionSet& txns,
         bool live = true;
         for (std::uint32_t i = 0; live && i < txns.txn(t).size(); ++i) {
           const Operation& op = txns.txn(t).op(i);
-          if (admitter.Probe(op)) {
-            admitter.SubmitDetached(op);  // reconciled by TxnVerdict below
-            continue;
-          }
           const auto op_start = std::chrono::steady_clock::now();
           live = admitter.SubmitWithBackoff(op, backoff).ok();
           lat.push_back(static_cast<std::uint64_t>(
@@ -169,7 +165,6 @@ AdmitterRun MeasureAdmitter(const TransactionSet& txns,
                   std::chrono::steady_clock::now() - op_start)
                   .count()));
         }
-        admitter.TxnVerdict(t);  // commit barrier for detached submissions
       }
     });
   }
@@ -179,7 +174,6 @@ AdmitterRun MeasureAdmitter(const TransactionSet& txns,
 
   run.accepted = admitter.accepted();
   run.rejected = admitter.rejected();
-  run.fast_path = admitter.fast_path_accepts();
   run.ops = run.accepted + run.rejected;
   run.ops_per_sec = run.seconds > 0 ? static_cast<double>(run.ops) / run.seconds
                                     : 0.0;
@@ -204,13 +198,14 @@ AdmitterRun MeasureAdmitter(const TransactionSet& txns,
   // Soundness replay: everything the concurrent front-end admitted must
   // re-admit through a fresh serial checker in the same order.
   OnlineRsrChecker replay(txns, spec);
-  for (const Operation& op : admitter.admitted_log()) {
+  const std::vector<Operation> admitted = admitter.AdmittedLog();
+  for (const Operation& op : admitted) {
     if (!replay.TryAppend(op)) {
       run.replay_sound = false;
       break;
     }
   }
-  if (admitter.admitted_log().size() != run.accepted) run.replay_sound = false;
+  if (admitted.size() != run.accepted) run.replay_sound = false;
   return run;
 }
 
@@ -289,14 +284,14 @@ int main(int argc, char** argv) {
   const std::vector<std::size_t> client_counts = {1, 4, 8, 16};
   std::vector<AdmitterRun> admitter_runs;
   bool replay_sound = true;
-  AsciiTable admit_table({"clients", "ops", "accepted", "fast-path",
-                          "ops/sec", "p50_us", "p99_us", "replay"});
+  AsciiTable admit_table({"clients", "ops", "accepted", "ops/sec", "p50_us",
+                          "p99_us", "replay"});
   for (const std::size_t clients : client_counts) {
     const AdmitterRun run = MeasureAdmitter(txns, spec, clients);
     replay_sound = replay_sound && run.replay_sound;
     admit_table.AddRow(
         {std::to_string(run.clients), std::to_string(run.ops),
-         std::to_string(run.accepted), std::to_string(run.fast_path),
+         std::to_string(run.accepted),
          std::to_string(static_cast<std::uint64_t>(run.ops_per_sec)),
          std::to_string(static_cast<double>(run.p50_ns) / 1000.0),
          std::to_string(static_cast<double>(run.p99_ns) / 1000.0),
@@ -361,8 +356,6 @@ int main(int argc, char** argv) {
     json.Uint(run.accepted);
     json.Key("rejected");
     json.Uint(run.rejected);
-    json.Key("fast_path_accepts");
-    json.Uint(run.fast_path);
     json.Key("seconds");
     json.Double(run.seconds);
     json.Key("ops_per_sec");

@@ -1,11 +1,19 @@
 #!/usr/bin/env bash
-# CI entry point: sanitizer build, full test suite, and a perf smoke of
-# the online admission hot path. Fails on any test failure, any
-# sanitizer report, a decision mismatch between the optimized and
-# baseline checkers, or a malformed BENCH_online.json.
+# CI entry point: the plain Release build and test suite (the tier-1
+# command, warnings as errors), sanitizer builds, and perf smokes of the
+# online admission hot path. Fails on any build warning or test
+# failure, any sanitizer report, a decision mismatch between the
+# optimized and baseline checkers, or a malformed BENCH_online.json.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
+
+# Tier-1: a fresh default configure (Release, RELSER_WERROR=ON) exactly
+# as a contributor runs it — not a preset — so toolchain-specific
+# warnings in any target fail CI.
+cmake -B build -S .
+cmake --build build -j
+(cd build && ctest --output-on-failure -j)
 
 cmake --preset asan
 cmake --build --preset asan -j"$(nproc)"
@@ -39,16 +47,16 @@ python3 -c "import json; json.load(open('build-asan/BENCH_faults.json'))"
 # Sharded smoke: the partitioned admission subsystem over a shrunken
 # shard-count x cross-shard-ratio grid. Exits non-zero unless every
 # cell's committed history replays relatively serializably on a full
-# single checker AND single-shard mode is decision-identical to
-# ConcurrentAdmitter.
+# single checker. (The one-shard configuration's identity with the
+# serial policy oracle is gated by shard_test above.)
 (cd build-asan && ./bench/bench_sharded --smoke)
 python3 -c "import json; json.load(open('build-asan/BENCH_sharded.json'))"
 
 # MVCC smoke: the snapshot-read fast path over a shrunken ratio grid.
 # Exits non-zero unless every cell's committed history replays
 # relatively serializably, ratio-0 runs are bit-identical to the fast
-# path being off (both admitters), and the ratio-1 cell admits every
-# transaction arc-free.
+# path being off (at one shard and at four), and the ratio-1 cell
+# admits every transaction arc-free.
 (cd build-asan && ./bench/bench_mvcc --smoke)
 python3 -c "import json; json.load(open('build-asan/BENCH_mvcc.json'))"
 
@@ -121,13 +129,14 @@ for line in bad:
 sys.exit(1 if bad else 0)
 EOF
 
-# ThreadSanitizer job: the execution substrate, the concurrent
-# admission front-end, and the sharded admission subsystem are the
+# ThreadSanitizer job: the execution substrate and the admission
+# front-end (ShardedAdmitter, at one shard and at several) are the
 # components with real cross-thread traffic, so the TSan build compiles
 # just their test binaries and runs them under the race detector (pool
-# churn, MPSC producer storms, the 8-client admitter stress, the
-# fault-injection suite, multi-core sharded admission with cross-shard
-# kill cascades, a reduced-round sharded differential sweep, the
+# churn, MPSC producer storms, the 8-client one-shard admitter stress,
+# the fault-injection suite with its concurrent backpressure clients
+# and cross-shard shedding, multi-core admission with cross-shard kill
+# cascades, a reduced-round sharded differential sweep, the
 # MVCC snapshot-read fleets whose settledness counters and commit CAS
 # are the fast path's entire synchronization story, and the epoch-GC
 # machinery: the settled-flag publication, the idle-loop collectors

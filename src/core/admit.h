@@ -4,10 +4,10 @@
 // Before this header, every layer reported admission decisions through a
 // different ad-hoc shape — bool returns from OnlineRsrChecker, a
 // three-way Decision enum from the simulator schedulers, raw decision
-// words inside ConcurrentAdmitter. The robustness layer (aborts,
+// words inside the admitter. The robustness layer (aborts,
 // backpressure, load shedding, deadlines) needs verdicts none of those
 // shapes can express, so the checker, both graph-based schedulers and
-// the concurrent admitter now all return the same AdmitResult:
+// the admitter now all return the same AdmitResult:
 //
 //   kAccept  — the operation executed; the prefix stays relatively
 //              serializable (Theorem 1 applied online).
@@ -18,7 +18,7 @@
 //              path. Nothing was recorded; the caller may retry, ideally
 //              after a jittered backoff (exec/backoff.h).
 //   kShed    — the transaction was load-shed by the overload policy
-//              (newest-uncommitted-first; see sched/admitter.h).
+//              (newest-uncommitted-first; see shard/sharded_admitter.h).
 //   kAborted — the transaction was aborted: explicitly (AbortTxn), as a
 //              cascade over reads-from, or by a scheduler whose
 //              certification failure dooms the requester.
@@ -87,7 +87,7 @@ struct ArcWitness {
 
 /// One admission decision. Returned uniformly by
 /// OnlineRsrChecker::TryAppend*, the simulator schedulers' OnRequest,
-/// and ConcurrentAdmitter::{SubmitAndWait,TxnVerdict,AbortTxn}.
+/// and ShardedAdmitter::{SubmitAndWait,TxnVerdict,AbortTxn}.
 struct AdmitResult {
   AdmitOutcome outcome = AdmitOutcome::kAccept;
   ArcWitness witness_arc;

@@ -65,7 +65,7 @@ struct SnapshotAdmitRecord {
   /// `epoch` commits, and belongs immediately after commit #epoch in any
   /// equivalent single-version history.
   std::uint64_t epoch = 0;
-  /// Caller-supplied total-order stamp (admission stamp in the sharded
+  /// Caller-supplied total-order stamp (admission stamp in the
   /// admitter, a private sequence elsewhere) used to splice the reader
   /// into the merged committed log.
   std::uint64_t stamp = 0;

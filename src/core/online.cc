@@ -242,17 +242,10 @@ AdmitResult OnlineRsrChecker::TryAppend(const Operation& op) {
   // itself), so clearing exactly those bits maintains the invariant that
   // safe_[t] == 1 implies no cross-transaction arc touches t's nodes.
   bool cross = false;
-  if (collect_ancestors_) last_ancestors_.clear();
   for (std::size_t t = 0; t < txn_count_; ++t) {
     if (t != j && scratch_anc_[t] != 0) {
       safe_[t] = 0;
       cross = true;
-      // The nonzero entries are exactly the transactions admission
-      // consulted (sources of direct or memo-pruned arcs into this op) —
-      // the dependency set the epoch manager needs.
-      if (collect_ancestors_) {
-        last_ancestors_.push_back(static_cast<TxnId>(t));
-      }
     }
   }
   if (cross) safe_[j] = 0;
@@ -272,10 +265,9 @@ AdmitResult OnlineRsrChecker::TryAppendIsolated(const Operation& op) {
   if (safe_[j] == 0) return AdmitResult::Retry(j);
   const std::uint32_t obj_idx = ObjIndex(op.object);
   {
-    // Eligibility mirrors ShardedConflictIndex::ObviouslyConflictFree:
-    // the object's frontier must be empty or owned by j. (A read could
-    // tolerate foreign readers, but keeping eligibility object-exclusive
-    // matches the one-word accessor the clients pre-filter on.)
+    // Eligibility: the object's frontier must be empty or owned by j.
+    // (A read could tolerate foreign readers; eligibility is kept
+    // object-exclusive so the check stays one comparison.)
     // Ineligibility is kRetry — retry through the full TryAppend — never
     // kReject: this path cannot prove a cycle.
     const ObjState& state = objects_[obj_idx];
@@ -319,7 +311,6 @@ AdmitResult OnlineRsrChecker::TryAppendIsolated(const Operation& op) {
   } else {
     std::fill(scratch_anc_.begin(), scratch_anc_.end(), 0);
   }
-  if (collect_ancestors_) last_ancestors_.clear();  // isolated: no ancestors
   CommitOp(op, gid, obj_idx);
   return AdmitResult::Accept(j);
 }

@@ -26,7 +26,7 @@
 // the ancestor arrays are rebuilt as a sound over-approximation (see
 // RemoveTransaction below), mirroring the baseline's documented
 // post-abort behavior. RemoveTransactionExact is the exact one the
-// concurrent admitter's abort/cascade machinery uses: it replays the
+// admitter's abort/cascade machinery uses: it replays the
 // surviving feed through a full reset, so the post-abort state is
 // bit-identical (StateDigest) to a checker that never saw the aborted
 // transaction — differentially tested by tests/fault_test.cc.
@@ -107,7 +107,7 @@ class OnlineRsrChecker {
   /// graph. O(history) instead of RemoveTransaction's O(touched), but
   /// bit-identical (StateDigest) to recompute-from-scratch: no
   /// over-approximation, no stale safe bits, no widened memos. This is
-  /// the abort path ConcurrentAdmitter uses, so repeated abort/cascade
+  /// the abort path the admitter uses, so repeated abort/cascade
   /// storms cannot accumulate conservatism. Counters: rejections() is
   /// preserved; arcs_submitted()/arcs_inserted_total() keep counting
   /// through the replay (they meter topology traffic, which the replay
@@ -132,17 +132,6 @@ class OnlineRsrChecker {
   /// dropped (0 = no settled history, state untouched).
   std::size_t Truncate(const std::atomic<std::uint8_t>* settled);
 
-  /// When enabled, every TryAppend accept records the cross-transaction
-  /// ancestor transactions of the accepted operation (every transaction
-  /// with a nonzero ancestor-array entry — exactly the sources of the
-  /// arcs, direct or memo-pruned, that admission consulted) into
-  /// last_accept_ancestors(). TryAppendIsolated accepts record an empty
-  /// set (no cross-transaction arcs by construction). The admitters
-  /// forward the set to EpochManager::NoteDeps.
-  void set_collect_ancestors(bool on) { collect_ancestors_ = on; }
-  const std::vector<TxnId>& last_accept_ancestors() const {
-    return last_ancestors_;
-  }
 
   /// Retained-state gauges for long-lived memory accounting
   /// (bench_longlived): accepted operations currently remembered,
@@ -173,7 +162,7 @@ class OnlineRsrChecker {
   /// Appends the global ids of `object`'s frontier readers (executed
   /// reads since the frontier writer, feed order) to `out`. Together
   /// with FrontierWriterGid this is the complete conflict frontier —
-  /// the sharded admitter rebuilds its per-object conflict-arc
+  /// the admitter rebuilds its per-object conflict-arc
   /// bookkeeping from it after an abort.
   void FrontierReaders(ObjectId object, std::vector<std::size_t>* out) const;
 
@@ -299,7 +288,6 @@ class OnlineRsrChecker {
   std::vector<NodeId> bypass_out_;
   std::vector<std::size_t> feed_log_;     // accepted gids, admission order
   std::vector<std::size_t> replay_feed_;  // reset-and-replay scratch
-  std::vector<TxnId> last_ancestors_;     // ancestor-collection output
 
   /// Shared tail of RemoveTransactionExact / Truncate: resets every
   /// piece of admission state and silently replays `replay_feed_`.
@@ -307,7 +295,6 @@ class OnlineRsrChecker {
 
   std::size_t executed_count_ = 0;
   std::size_t rejections_ = 0;
-  bool collect_ancestors_ = false;
   std::size_t arcs_submitted_ = 0;
   std::size_t arcs_inserted_total_ = 0;
   Tracer* tracer_ = nullptr;

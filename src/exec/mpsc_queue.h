@@ -1,8 +1,8 @@
 // Bounded multi-producer / single-consumer queue.
 //
-// The concurrent admission front-end (src/sched/admitter.h) funnels
-// operation requests from N client threads into one admission core; this
-// queue is that funnel. The ring is Dmitry Vyukov's bounded MPMC design
+// The admission front-end (src/shard/sharded_admitter.h) funnels
+// operation requests from N client threads into each shard's admission
+// core; this queue is that funnel. The ring is Dmitry Vyukov's bounded MPMC design
 // — one atomic sequence stamp per cell, producers claim cells with a CAS
 // on the tail, the (single) consumer walks the head without contention —
 // restricted here to one consumer, which keeps Dequeue a plain

@@ -4,8 +4,8 @@
 // The exec layer is relser's multi-core substrate: analysis sweeps (the
 // Figure 5 census, the exponential relative-consistency search, the
 // differential online harness) fan embarrassingly-parallel shards out
-// over a ThreadPool, and the concurrent admission front-end
-// (src/sched/admitter.h) uses its queues. Everything above this layer
+// over a ThreadPool, and the admission front-end
+// (src/shard/sharded_admitter.h) uses the layer's queues. Everything above this layer
 // keeps a hard determinism contract — parallel results are bit-identical
 // to the serial run — which the pool supports by never deciding *what*
 // a shard computes, only *where* it runs: shards draw their randomness

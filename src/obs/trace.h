@@ -150,9 +150,10 @@ struct TraceCounters {
   std::uint64_t aborts = 0;
   std::uint64_t cascade_aborts = 0;
   std::uint64_t commits = 0;
-  // Robustness layer (sched/admitter.h). None of these feed `requests`:
-  // sheds/timeouts are transaction-level verdicts and retries happen on
-  // the client side of the admission ring, before any request exists.
+  // Robustness layer (shard/sharded_admitter.h). None of these feed
+  // `requests`: sheds/timeouts are transaction-level verdicts and retries
+  // happen on the client side of the admission ring, before any request
+  // exists.
   std::uint64_t sheds = 0;     ///< transactions killed by load shedding
   std::uint64_t timeouts = 0;  ///< SubmitAndWait deadlines expired
   std::uint64_t retries = 0;   ///< client submissions refused by backpressure
@@ -160,7 +161,7 @@ struct TraceCounters {
   std::uint64_t arcs_inserted = 0;    ///< actually new in the graph
   std::uint64_t cycle_repairs = 0;    ///< Pearce-Kelly reorder passes
   std::uint64_t early_lock_releases = 0;  ///< unit-2PL / altruistic
-  // ConcurrentAdmitter (sched/admitter.h): drain-batch shape.
+  // Admission cores (shard/sharded_admitter.h): drain-batch shape.
   std::uint64_t batches = 0;          ///< admission-core drain batches
   std::uint64_t batched_ops = 0;      ///< operations drained in batches
   std::uint64_t queue_depth_high_water = 0;  ///< max ops seen in one drain
@@ -211,7 +212,7 @@ struct TraceSnapshot {
   std::uint64_t admit_latency_samples = 0;
   double admit_p50_ns = 0.0;
   double admit_p99_ns = 0.0;
-  // Drain-batch size distribution (ConcurrentAdmitter).
+  // Drain-batch size distribution (admission cores).
   double batch_size_p50 = 0.0;
   double batch_size_p99 = 0.0;
 };
@@ -260,8 +261,8 @@ class Tracer {
 
   void CountEarlyLockRelease();
 
-  /// ConcurrentAdmitter hooks (called by its single admission core, so
-  /// the Tracer's single-writer contract is preserved): the number of
+  /// Admission-core hooks (each core writes its private tracer, so the
+  /// Tracer's single-writer contract is preserved): the number of
   /// operations found queued at the start of a drain, and the size of
   /// the batch actually drained (also fed to the batch-size histogram).
   void NoteQueueDepth(std::uint64_t depth);
@@ -279,7 +280,7 @@ class Tracer {
   void RecordCommit(TxnId txn, std::uint64_t tick);
   void RecordAbort(TxnId txn, std::uint64_t tick, bool cascade);
 
-  /// Robustness events (ConcurrentAdmitter's overload machinery): a
+  /// Robustness events (the admitter's overload machinery): a
   /// transaction shed by the overload policy, and a SubmitAndWait
   /// deadline expiry (the subsequent abort is recorded separately by
   /// RecordAbort when it takes effect).
@@ -298,11 +299,11 @@ class Tracer {
                                std::uint64_t tick);
   void CountEscalation();
 
-  /// MVCC snapshot-read fast path (core/mvcc/, sched/admitter.h,
+  /// MVCC snapshot-read fast path (core/mvcc/,
   /// shard/sharded_admitter.h). RecordSnapshotRead logs one arc-free
   /// snapshot admission (transaction-level event; `tick` is the
   /// committed watermark the reader was admitted against) — the
-  /// admitters fold these in after Stop, from the VersionStore's admit
+  /// admitter folds these in after Stop, from the VersionStore's admit
   /// log, to respect the single-writer contract. AddSnapshotEscalations
   /// folds the escalation count the same way; SetCoordinatorArcCensus
   /// publishes the coordinator's live/dead durable-arc gauges.
@@ -329,7 +330,7 @@ class Tracer {
   void AddRetries(std::uint64_t retries);
 
   /// Folds another tracer's counters, histograms, and events into this
-  /// one (events are re-sequenced after the existing tail). The sharded
+  /// one (events are re-sequenced after the existing tail). The
   /// admitter gives each shard core a private tracer and merges them
   /// into the user-facing one after Stop, when no writer is live.
   void MergeFrom(const Tracer& other);

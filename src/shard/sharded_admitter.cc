@@ -44,6 +44,9 @@ ShardedAdmitter::ShardedAdmitter(const TransactionSet& txns,
       pending_(std::vector<std::atomic<std::uint32_t>>(txns.txn_count())) {
   RELSER_CHECK_MSG(options_.max_batch > 0, "max_batch must be positive");
   if (options_.snapshot_reads) store_ = std::make_unique<VersionStore>(txns);
+  if (options_.shed_high_water > 0) {
+    shed_mark_ = std::vector<std::atomic<std::uint8_t>>(txns.txn_count());
+  }
   if (options_.epoch_gc) {
     epochs_ =
         std::make_unique<EpochManager>(txns.txn_count(), options_.gc_interval);
@@ -86,13 +89,13 @@ ShardedAdmitter::~ShardedAdmitter() { Stop(); }
 AdmitResult ShardedAdmitter::SubmitAndWait(const Operation& op,
                                            std::chrono::microseconds timeout) {
   const std::size_t gid = indexer_.GlobalId(op);
-  // Snapshot-read fast path: a settled read-only transaction commits
-  // here, on the client thread, without touching any shard ring. See
-  // ConcurrentAdmitter::SubmitAndWait for the classification argument;
-  // the sharded twist is the merge stamp, drawn from admission_stamp_
-  // AFTER the commit CAS. Stamp order is sound because a shard core
-  // stamps a writer's program-order-last accept BEFORE its release
-  // NoteCommit decrement (Decide), and the classification here
+  // Snapshot-read fast path: a settled read-only transaction (every
+  // static writer of every object it reads has finished) commits here,
+  // on the client thread, against the committed watermark, without
+  // touching any shard ring. The merge stamp is drawn from
+  // admission_stamp_ AFTER the commit CAS. Stamp order is sound because
+  // a shard core stamps a writer's program-order-last accept BEFORE its
+  // release NoteCommit decrement (Decide), and the classification here
   // acquire-reads that decrement before drawing its own stamp — so a
   // snapshot block's stamp exceeds the stamp of every operation of
   // every committed writer of its read set, and CommittedLog splices
@@ -410,6 +413,21 @@ void ShardedAdmitter::CoreLoop(std::uint32_t shard) {
       core.queue.WaitNonEmpty(std::chrono::microseconds(500));
       continue;
     }
+    // Overload control: while above the high-water mark, shed the live
+    // transaction this core saw most recently (at most one per drain).
+    // Entries only ever leave the live state, so dead ones pop for good.
+    if (options_.shed_high_water > 0 &&
+        live_uncommitted_.load(std::memory_order_relaxed) >
+            options_.shed_high_water) {
+      while (!core.seen_order.empty() &&
+             TxnState(core.seen_order.back()) != kStateLive) {
+        core.seen_order.pop_back();
+      }
+      if (!core.seen_order.empty()) {
+        GlobalKill(core, core.seen_order.back(), AdmitOutcome::kShed,
+                   /*cascade=*/false);
+      }
+    }
     if (tracer->counting() && !batch.empty()) {
       tracer->NoteQueueDepth(batch.size());
     }
@@ -480,6 +498,10 @@ void ShardedAdmitter::Decide(Core& core, const Operation& op) {
   }
   if (core.seen[txn] == 0) {
     core.seen[txn] = 1;
+    if (options_.shed_high_water > 0) {
+      core.seen_order.push_back(txn);
+      CountLive(txn);
+    }
     if (plan_->spans().MultiShard(txn)) {
       tracer->RecordShardRoute(
           txn, static_cast<std::uint32_t>(plan_->spans().ShardsOf(txn).size()),
@@ -597,6 +619,7 @@ void ShardedAdmitter::Decide(Core& core, const Operation& op) {
                                                 std::memory_order_acq_rel,
                                                 std::memory_order_acquire)) {
       committed = true;
+      UncountLive(txn);
       if (tracer->counting()) tracer->RecordCommit(txn, core.core_steps);
     }
   }
@@ -618,6 +641,26 @@ void ShardedAdmitter::Decide(Core& core, const Operation& op) {
   }
   Publish(gid, txn, AdmitOutcome::kAccept);
   if (tracer->counting()) tracer->RecordAdmit(op, core.core_steps, 0);
+}
+
+// Shedding's live count: +1 when a core first sees a live transaction,
+// -1 when a counted one commits or dies. shed_mark_ arbitrates with
+// RMWs (0 unseen, 1 counted, 2 terminal), so neither a second core's
+// sighting nor a kill racing the first one can double-count or leak;
+// the increment comes first, so the count never underflows.
+void ShardedAdmitter::CountLive(TxnId txn) {
+  if (shed_mark_[txn].load(std::memory_order_relaxed) != 0) return;
+  live_uncommitted_.fetch_add(1, std::memory_order_relaxed);
+  if (shed_mark_[txn].exchange(1, std::memory_order_acq_rel) != 0) {
+    live_uncommitted_.fetch_sub(1, std::memory_order_relaxed);
+  }
+}
+
+void ShardedAdmitter::UncountLive(TxnId txn) {
+  if (shed_mark_.empty()) return;
+  if (shed_mark_[txn].exchange(2, std::memory_order_acq_rel) == 1) {
+    live_uncommitted_.fetch_sub(1, std::memory_order_relaxed);
+  }
 }
 
 void ShardedAdmitter::InsertArc(Core& core, TxnId from, TxnId to) {
@@ -695,13 +738,16 @@ void ShardedAdmitter::GlobalKill(Core& core, TxnId root, AdmitOutcome outcome,
     }
     return;
   }
+  UncountLive(root);
   if (store_ != nullptr) store_->NoteAbort(root);
   if (txn_open_[root].exchange(0, std::memory_order_relaxed) != 0) {
     open_txns_.fetch_sub(1, std::memory_order_acq_rel);
   }
   Tracer* const tracer = &core.tracer;
   if (tracer->counting()) {
-    if (outcome == AdmitOutcome::kTimeout) {
+    if (outcome == AdmitOutcome::kShed) {
+      tracer->RecordShed(root, core.core_steps);
+    } else if (outcome == AdmitOutcome::kTimeout) {
       tracer->RecordTimeout(root, core.core_steps);
     }
     tracer->RecordAbort(root, core.core_steps, cascade);

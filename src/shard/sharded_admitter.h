@@ -1,15 +1,18 @@
-// ShardedAdmitter: partitioned RSR admission — N shard cores, each a
-// sequential OnlineRsrChecker over its projected sub-schedule, glued by
-// a transaction-level CrossShardCoordinator.
+// ShardedAdmitter: the multi-client, fault-tolerant admission front-end
+// — N shard cores, each a sequential OnlineRsrChecker over its projected
+// sub-schedule, glued by a transaction-level CrossShardCoordinator.
 //
-// ConcurrentAdmitter (sched/admitter.h) funnels every client into ONE
-// admission core, because certification mutates one relative
-// serialization graph. This subsystem removes that bottleneck by
-// partitioning the object space (shard/router.h): conflicts are
-// per-object, so every direct conflict is resident on exactly one
-// shard, and each shard core certifies its own projected sub-schedule
-// (shard/projection.h) with a private checker — no locks on the
-// admission hot path. Global relative serializability is recovered as
+// Certification mutates one relative serialization graph, so a single
+// checker needs a single admission core: clients funnel requests into
+// it through a bounded MPSC ring (exec/mpsc_queue.h), the core drains
+// them in batches, publishes one decision word per operation and wakes
+// waiters once per batch. ShardRouter(object_count, 1, kRange) is that
+// single-core configuration. With more shards the object space is
+// partitioned (shard/router.h): conflicts are per-object, so every
+// direct conflict is resident on exactly one shard, and each shard core
+// certifies its own projected sub-schedule (shard/projection.h) with a
+// private checker — no locks on the admission hot path. Global relative
+// serializability is recovered as
 //
 //     (every shard-local projected RSG acyclic)
 //   ∧ (coordinator transaction-level graph acyclic)
@@ -24,29 +27,51 @@
 // therefore lies entirely inside tainted components and is visible to
 // the coordinator, while purely local structure stays local — the
 // relative-atomicity relaxation keeps its value inside each shard, and
-// a single-shard configuration never escalates anything, making it
-// decision-identical to ConcurrentAdmitter (hard-gated by
-// bench_sharded). docs/sharding.md develops the full argument.
+// a single-shard configuration never escalates anything: it makes the
+// serial policy's decisions (tests/serial_oracle.h, gated in
+// shard_test). docs/sharding.md develops the full argument. Inside a
+// core, OnlineRsrChecker::TryAppendIsolated skips the F/B memo scan for
+// operations whose transaction never carried a cross-transaction arc
+// and whose object frontier is private.
 //
-// The robustness vocabulary is ConcurrentAdmitter's, verbatim:
-// AdmitOutcome verdicts, kRetry backpressure, deadline timeouts,
-// client aborts, and the recoverability cascade — here spanning
-// shards: a kill CASes the transaction dead, withdraws it from its
-// resident shards (RemoveTransactionExact, exact restoration),
-// tombstones it at the coordinator (its transaction-level arcs stay
-// behind as conservative constraints — the durable-arc discipline,
-// shard/coordinator.h), and cascades to live dirty readers wherever
-// they live, via unbounded per-core control channels (so cores never
-// block on each other's rings).
+// Robustness (docs/robustness.md):
 //
-// Feeding contract (stricter than ConcurrentAdmitter): all operations
-// of one transaction must be submitted by one thread, in program
-// order, through the *blocking* entry points (SubmitAndWait /
-// SubmitWithBackoff) — at most one operation of a transaction in
-// flight at a time. That is what lets a transaction commit the moment
-// its program-order-last operation is accepted, and what keeps the
-// per-shard projected feeds consistent with one global interleaving
-// (there is deliberately no SubmitDetached here).
+//  * Every verdict speaks AdmitOutcome (core/admit.h).
+//  * Aborts are first class. A certification rejection kills the whole
+//    transaction: a kill CASes it dead, withdraws it from its resident
+//    shards (RemoveTransactionExact, exact restoration), tombstones it
+//    at the coordinator (its transaction-level arcs stay behind as
+//    conservative constraints — the durable-arc discipline,
+//    shard/coordinator.h), and cascades to live dirty readers wherever
+//    they live, via unbounded per-core control channels (so cores never
+//    block on each other's rings). Clients can abort voluntarily
+//    (AbortTxn). Committed readers of aborted writers cannot be
+//    cascaded; they are counted as unrecoverable_reads().
+//  * A transaction commits the moment its program-order-last operation
+//    is accepted; committed transactions are immune to abort, cascade
+//    and shedding.
+//  * Backpressure is a verdict, not a stall: SubmitAndWait returns
+//    kRetry when the ring is full; SubmitWithBackoff wraps that in
+//    jittered exponential backoff (exec/backoff.h).
+//  * Deadlines: on expiry SubmitAndWait posts a timeout-abort to the
+//    operation's shard and returns kTimeout.
+//  * Load shedding: with shed_high_water > 0, a core whose drain starts
+//    while more than that many transactions are live and uncommitted
+//    sheds the live transaction it saw most recently (newest-first keeps
+//    the most-invested work alive), at most one per drain.
+//  * Deterministic fault injection: options.faults pauses each core
+//    after chosen decision steps (exec/faultplan.h).
+//
+// Feeding contract: all operations of one transaction must be submitted
+// by one thread, in program order, through the blocking entry points
+// (SubmitAndWait / SubmitWithBackoff) — at most one operation of a
+// transaction in flight at a time. That is what lets a transaction
+// commit the moment its program-order-last operation is accepted, and
+// what keeps the per-shard projected feeds consistent with one global
+// interleaving. Distinct transactions may be submitted from distinct
+// threads concurrently. A client that receives a terminal verdict
+// (kReject/kAborted/kShed/kTimeout) should stop submitting the
+// transaction; stragglers are answered with its death outcome.
 #ifndef RELSER_SHARD_SHARDED_ADMITTER_H_
 #define RELSER_SHARD_SHARDED_ADMITTER_H_
 
@@ -89,6 +114,10 @@ struct ShardedAdmitterOptions {
   /// Deterministic per-core pause schedule (exec/faultplan.h), keyed by
   /// each shard core's own decision count. Must outlive the admitter.
   const FaultPlan* faults = nullptr;
+  /// Overload control: when > 0, a core drain that starts with more
+  /// than this many live uncommitted transactions (seen by a core, not
+  /// yet committed or dead) sheds the newest live one that core saw.
+  std::size_t shed_high_water = 0;
   /// MVCC snapshot-read fast path (core/mvcc/version_store.h): when on,
   /// read-only transactions whose read set is settled (every static
   /// writer finished) commit on the CLIENT thread against the committed
@@ -137,10 +166,12 @@ class ShardedAdmitter {
   ShardedAdmitter& operator=(const ShardedAdmitter&) = delete;
 
   /// Routes `op` to the shard owning its object and blocks until that
-  /// shard's core decides it. Same verdict vocabulary as
-  /// ConcurrentAdmitter::SubmitAndWait: kAccept / kReject / a death
-  /// outcome (kAborted, kTimeout) / kRetry (ring full, nothing
-  /// enqueued). timeout zero waits forever.
+  /// shard's core decides it. Outcomes: kAccept / kReject (this op
+  /// failed certification; the transaction is being aborted) / a death
+  /// outcome (kAborted, kShed, kTimeout: the transaction died before
+  /// this op was decided) / kRetry (ring full, nothing enqueued; back
+  /// off and resubmit) / kTimeout (the deadline expired first; a
+  /// timeout-abort was scheduled). timeout zero waits forever.
   AdmitResult SubmitAndWait(
       const Operation& op,
       std::chrono::microseconds timeout = std::chrono::microseconds::zero());
@@ -186,8 +217,10 @@ class ShardedAdmitter {
   std::uint64_t retries() const {
     return retry_count_.load(std::memory_order_acquire);
   }
-  /// Committed transactions caught reading from a later-aborted writer
-  /// (same recoverability metric as ConcurrentAdmitter).
+  /// Committed transactions caught reading from a later-aborted writer:
+  /// the cascade could not reach them (commits are final), so the read
+  /// stands unrecoverable — a recoverability metric, not a
+  /// serializability violation.
   std::uint64_t unrecoverable_reads() const {
     return unrecoverable_reads_.load(std::memory_order_acquire);
   }
@@ -203,6 +236,11 @@ class ShardedAdmitter {
   std::vector<Operation> AdmittedLog() const;
 
   const ShardPlan& plan() const { return *plan_; }
+  /// Shard `shard`'s checker (over plan().slice(shard); at one shard the
+  /// projection is the identity). Read-only; safe once Stop returned.
+  const OnlineRsrChecker& shard_checker(std::uint32_t shard) const {
+    return cores_[shard]->checker;
+  }
   const CrossShardCoordinator& coordinator() const { return coordinator_; }
 
   /// Live reshard (requires options.epoch_gc): atomically replaces the
@@ -282,8 +320,8 @@ class ShardedAdmitter {
     RequestKind kind = RequestKind::kOp;
   };
 
-  // txn_state_ encoding, as in ConcurrentAdmitter. Writers CAS from
-  // kStateLive (several shard cores may race on a kill/commit).
+  // txn_state_ encoding. Writers CAS from kStateLive (several shard
+  // cores may race on a kill/commit).
   static constexpr std::uint8_t kStateLive = 0;
   static constexpr std::uint8_t kStateCommitted = 1;
   static constexpr std::uint8_t kStateDead = 2;  // kStateDead + outcome
@@ -320,6 +358,7 @@ class ShardedAdmitter {
     std::vector<std::uint8_t> tainted;
     std::vector<std::uint8_t> local_dead;  // withdrawn from this checker
     std::vector<std::uint8_t> seen;        // first-op-seen (route events)
+    std::vector<TxnId> seen_order;  // first-seen order (shedding only)
 
     // Scratch, reused across decisions.
     std::vector<std::pair<TxnId, TxnId>> mirror_buf;
@@ -369,6 +408,10 @@ class ShardedAdmitter {
   /// taint when either endpoint is tainted.
   void InsertArc(Core& core, TxnId from, TxnId to);
   void Taint(Core& core, TxnId txn);
+  /// Shedding's live-uncommitted count (shed_high_water > 0 only):
+  /// CountLive on a core's first sighting, UncountLive at commit/kill.
+  void CountLive(TxnId txn);
+  void UncountLive(TxnId txn);
   void Publish(std::size_t gid, TxnId txn, AdmitOutcome outcome);
   void PostControl(std::uint32_t shard, TxnId txn, RequestKind kind);
   std::uint8_t TxnState(TxnId txn) const {
@@ -391,6 +434,10 @@ class ShardedAdmitter {
   Tracer coordinator_tracer_;
   // Stable-prefix GC authority (non-null iff options_.epoch_gc).
   std::unique_ptr<EpochManager> epochs_;
+  // Load shedding (sized iff options_.shed_high_water > 0): txn -> 0
+  // unseen / 1 counted live / 2 terminal, and the live count itself.
+  std::vector<std::atomic<std::uint8_t>> shed_mark_;
+  std::atomic<std::size_t> live_uncommitted_{0};
   // txn -> resident-shard withdrawals still outstanding after a kill;
   // the last KillLocal reports the fully-applied abort to epochs_.
   std::vector<std::atomic<std::uint32_t>> kill_remaining_;

@@ -1,8 +1,9 @@
-// Tests for the concurrent admission front-end (sched/admitter.h):
-// multi-client stress with soundness replay, decision parity against a
-// serial feed of the same operation stream (including the abort-and-
+// Tests for the admission front-end in its single-core configuration
+// (ShardedAdmitter over one shard, shard/sharded_admitter.h): multi-
+// client stress with soundness replay, decision parity against the
+// serial policy oracle (tests/serial_oracle.h; including the abort-and-
 // cascade-on-reject policy), TxnVerdict semantics, and the
-// Probe/SubmitDetached fast path.
+// TryAppendIsolated fast path.
 #include <cstdint>
 #include <thread>
 #include <vector>
@@ -10,9 +11,11 @@
 #include <gtest/gtest.h>
 
 #include "core/online.h"
+#include "exec/backoff.h"
 #include "model/schedule.h"
 #include "model/text.h"
-#include "sched/admitter.h"
+#include "serial_oracle.h"
+#include "shard/sharded_admitter.h"
 #include "spec/builders.h"
 #include "util/rng.h"
 #include "workload/generator.h"
@@ -20,87 +23,6 @@
 
 namespace relser {
 namespace {
-
-// Round-robin interleaving of all transactions' operations: a canonical
-// single-thread feed order that respects each transaction's program
-// order (the admitter's feeding contract).
-std::vector<Operation> RoundRobinFeed(const TransactionSet& txns) {
-  std::vector<Operation> feed;
-  bool progress = true;
-  for (std::uint32_t i = 0; progress; ++i) {
-    progress = false;
-    for (TxnId t = 0; t < txns.txn_count(); ++t) {
-      if (i < txns.txn(t).size()) {
-        feed.push_back(txns.txn(t).op(i));
-        progress = true;
-      }
-    }
-  }
-  return feed;
-}
-
-// The admitter's decision policy, applied serially: a rejection aborts
-// the transaction (its accepted prefix is withdrawn exactly) and
-// cascade-aborts every live transaction that read one of its writes;
-// operations of dead transactions auto-reject; a transaction commits —
-// and becomes immune — when its last operation is accepted.
-std::vector<bool> SerialDecisions(const TransactionSet& txns,
-                                  const AtomicitySpec& spec,
-                                  const std::vector<Operation>& feed) {
-  constexpr TxnId kNone = static_cast<TxnId>(-1);
-  enum : std::uint8_t { kLive, kCommitted, kDead };
-  OnlineRsrChecker checker(txns, spec);
-  std::vector<std::uint8_t> state(txns.txn_count(), kLive);
-  std::vector<TxnId> last_writer(txns.object_count(), kNone);
-  std::vector<std::vector<TxnId>> readers_of(txns.txn_count());
-
-  const auto kill = [&](TxnId root) {
-    std::vector<TxnId> stack{root};
-    while (!stack.empty()) {
-      const TxnId t = stack.back();
-      stack.pop_back();
-      if (state[t] != kLive) continue;
-      state[t] = kDead;
-      if (checker.TxnHasExecuted(t)) checker.RemoveTransactionExact(t);
-      for (const TxnId reader : readers_of[t]) {
-        if (state[reader] == kLive) stack.push_back(reader);
-      }
-      readers_of[t].clear();
-    }
-    for (ObjectId o = 0; o < static_cast<ObjectId>(last_writer.size()); ++o) {
-      if (last_writer[o] == kNone || state[last_writer[o]] != kDead) continue;
-      const std::size_t gid = checker.FrontierWriterGid(o);
-      last_writer[o] = gid == OnlineRsrChecker::kNoOp
-                           ? kNone
-                           : txns.OpByGlobalId(gid).txn;
-    }
-  };
-
-  std::vector<bool> decisions;
-  decisions.reserve(feed.size());
-  for (const Operation& op : feed) {
-    if (state[op.txn] != kLive) {
-      decisions.push_back(false);
-      continue;
-    }
-    if (checker.TryAppend(op).ok()) {
-      if (op.is_write()) {
-        last_writer[op.object] = op.txn;
-      } else {
-        const TxnId writer = last_writer[op.object];
-        if (writer != kNone && writer != op.txn && state[writer] == kLive) {
-          readers_of[writer].push_back(op.txn);
-        }
-      }
-      if (op.index + 1 == txns.txn(op.txn).size()) state[op.txn] = kCommitted;
-      decisions.push_back(true);
-    } else {
-      decisions.push_back(false);
-      kill(op.txn);
-    }
-  }
-  return decisions;
-}
 
 TEST(AdmitterTest, SingleClientMatchesSerialFeed) {
   Rng rng(0xADA1);
@@ -115,9 +37,7 @@ TEST(AdmitterTest, SingleClientMatchesSerialFeed) {
   const std::vector<Operation> feed = RoundRobinFeed(txns);
   const std::vector<bool> expected = SerialDecisions(txns, spec, feed);
 
-  AdmitterOptions options;
-  options.record_log = true;
-  ConcurrentAdmitter admitter(txns, spec, options);
+  ShardedAdmitter admitter(txns, spec, SingleShard(txns));
   std::vector<bool> got;
   got.reserve(feed.size());
   for (const Operation& op : feed) {
@@ -148,11 +68,10 @@ TEST(AdmitterTest, EightClientStressIsSoundUnderReplay) {
   const TransactionSet txns = GenerateTransactions(wp, &rng);
   const AtomicitySpec spec = RandomSpec(txns, 0.5, &rng);
 
-  AdmitterOptions options;
-  options.record_log = true;
+  ShardedAdmitterOptions options;
   options.queue_capacity = 64;  // small ring: exercise back-pressure
   options.max_batch = 8;
-  ConcurrentAdmitter admitter(txns, spec, options);
+  ShardedAdmitter admitter(txns, spec, SingleShard(txns), options);
 
   constexpr std::size_t kClients = 8;
   std::vector<std::uint8_t> committed(txns.txn_count(), 0);
@@ -164,10 +83,7 @@ TEST(AdmitterTest, EightClientStressIsSoundUnderReplay) {
       for (TxnId t = static_cast<TxnId>(c); t < txns.txn_count();
            t = static_cast<TxnId>(t + kClients)) {
         for (std::uint32_t i = 0; i < txns.txn(t).size(); ++i) {
-          const Operation& op = txns.txn(t).op(i);
-          if (admitter.Probe(op)) {
-            admitter.SubmitDetached(op);
-          } else if (!admitter.SubmitWithBackoff(op, backoff)) {
+          if (!admitter.SubmitWithBackoff(txns.txn(t).op(i), backoff)) {
             break;  // transaction dead; stop submitting
           }
         }
@@ -183,7 +99,7 @@ TEST(AdmitterTest, EightClientStressIsSoundUnderReplay) {
   // serial checker in admission order, and so must the committed
   // prefix on its own — the soundness gate the fault bench hard-fails.
   OnlineRsrChecker replay(txns, spec);
-  for (const std::size_t gid : admitter.checker().feed_log()) {
+  for (const std::size_t gid : admitter.shard_checker(0).feed_log()) {
     ASSERT_TRUE(replay.TryAppend(txns.OpByGlobalId(gid)))
         << "surviving op gid " << gid << " is not serially admissible";
   }
@@ -198,7 +114,7 @@ TEST(AdmitterTest, EightClientStressIsSoundUnderReplay) {
   // also keeps operations of since-aborted transactions) has each
   // transaction's indices consecutive from 0.
   std::vector<std::uint32_t> admitted_ops(txns.txn_count(), 0);
-  for (const Operation& op : admitter.admitted_log()) {
+  for (const Operation& op : admitter.AdmittedLog()) {
     EXPECT_EQ(op.index, admitted_ops[op.txn]) << "gap in admitted prefix";
     ++admitted_ops[op.txn];
   }
@@ -216,7 +132,7 @@ TEST(AdmitterTest, TxnVerdictReportsRejectedTransactions) {
   auto txns = ParseTransactionSet("T1 = w1[x] r1[y]\nT2 = r2[x] w2[y]\n");
   const AtomicitySpec spec = AbsoluteSpec(*txns);
 
-  ConcurrentAdmitter admitter(*txns, spec);
+  ShardedAdmitter admitter(*txns, spec, SingleShard(*txns));
   EXPECT_TRUE(admitter.SubmitAndWait(txns->txn(0).op(0)));  // w1[x]
   EXPECT_TRUE(admitter.SubmitAndWait(txns->txn(1).op(0)));  // r2[x]
   EXPECT_TRUE(admitter.SubmitAndWait(txns->txn(1).op(1)));  // w2[y]
@@ -230,36 +146,9 @@ TEST(AdmitterTest, TxnVerdictReportsRejectedTransactions) {
   // T1's rejection aborted it and withdrew w1[x] exactly; T2 survives
   // whole. T2's r2[x] had read T1's uncommitted write, but T2 committed
   // before the abort — an unrecoverable read, counted not cascaded.
-  EXPECT_EQ(admitter.checker().executed_count(), 2u);
+  EXPECT_EQ(admitter.shard_checker(0).executed_count(), 2u);
   EXPECT_TRUE(admitter.TxnCommitted(1));
   EXPECT_EQ(admitter.unrecoverable_reads(), 1u);
-}
-
-TEST(AdmitterTest, DetachedSubmissionsResolveThroughTxnVerdict) {
-  Rng rng(0xADA3);
-  WorkloadParams wp;
-  wp.txn_count = 4;
-  wp.min_ops_per_txn = 2;
-  wp.max_ops_per_txn = 4;
-  wp.object_count = 64;  // sparse: nearly everything is conflict-free
-  wp.read_ratio = 0.5;
-  const TransactionSet txns = GenerateTransactions(wp, &rng);
-  const AtomicitySpec spec = AbsoluteSpec(txns);
-
-  ConcurrentAdmitter admitter(txns, spec);
-  for (TxnId t = 0; t < txns.txn_count(); ++t) {
-    for (std::uint32_t i = 0; i < txns.txn(t).size(); ++i) {
-      admitter.SubmitDetached(txns.txn(t).op(i));
-    }
-  }
-  admitter.Flush();
-  for (TxnId t = 0; t < txns.txn_count(); ++t) {
-    // Sparse objects + absolute spec on disjoint data: all should commit.
-    EXPECT_TRUE(admitter.TxnVerdict(t)) << "txn " << t;
-  }
-  admitter.Stop();
-  EXPECT_EQ(admitter.accepted(), admitter.checker().executed_count());
-  EXPECT_GT(admitter.fast_path_accepts(), 0u);
 }
 
 TEST(AdmitterTest, FastPathDecisionsMatchSlowPath) {
@@ -278,7 +167,7 @@ TEST(AdmitterTest, FastPathDecisionsMatchSlowPath) {
   const std::vector<Operation> feed = RoundRobinFeed(txns);
   const std::vector<bool> expected = SerialDecisions(txns, spec, feed);
 
-  ConcurrentAdmitter admitter(txns, spec);
+  ShardedAdmitter admitter(txns, spec, SingleShard(txns));
   std::vector<bool> got;
   got.reserve(feed.size());
   for (const Operation& op : feed) {
@@ -290,7 +179,7 @@ TEST(AdmitterTest, FastPathDecisionsMatchSlowPath) {
   for (std::size_t i = 0; i < feed.size(); ++i) {
     EXPECT_EQ(got[i], expected[i]) << "op " << i;
   }
-  EXPECT_GT(admitter.fast_path_accepts(), 0u)
+  EXPECT_GT(admitter.shard_stats(0).fast_path, 0u)
       << "sparse workload should exercise TryAppendIsolated";
 }
 

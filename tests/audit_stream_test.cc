@@ -50,8 +50,14 @@ GroupedWorkload MakeGroups(std::size_t pairs) {
   for (std::size_t g = 0; g < pairs; ++g) {
     Transaction* a = w.txns.AddTransaction();
     Transaction* b = w.txns.AddTransaction();
-    const ObjectId oa = w.txns.InternObject("a" + std::to_string(g));
-    const ObjectId ob = w.txns.InternObject("b" + std::to_string(g));
+    // Appended, not `"a" + std::to_string(g)`: GCC 12 raises a spurious
+    // -Werror=restrict on the literal + temporary overload (GCC PR 105329).
+    std::string name_a = "a";
+    name_a += std::to_string(g);
+    std::string name_b = "b";
+    name_b += std::to_string(g);
+    const ObjectId oa = w.txns.InternObject(name_a);
+    const ObjectId ob = w.txns.InternObject(name_b);
     a->Read(oa);
     a->Write(oa);
     b->Read(ob);

@@ -4,10 +4,10 @@
 // collection, version pruning — must be DECISION- and
 // WITNESS-identical to the unbounded admitter: the same per-operation
 // outcome sequence, the same per-transaction verdicts, and the same
-// committed log, bit for bit. Both admitters are swept: the
-// single-core ConcurrentAdmitter and the multi-core ShardedAdmitter,
-// with client aborts, fault-plan core pauses and (in rotation) the
-// MVCC snapshot fast path enabled on both sides.
+// committed log, bit for bit. Two configurations are swept: the
+// single-core (one-shard) admitter and a multi-shard one, with client
+// aborts, fault-plan core pauses and (in rotation) the MVCC snapshot
+// fast path enabled on both sides.
 //
 // RELSER_EPOCH_DIFF_ROUNDS overrides the round count (default 300;
 // CI's TSan job runs fewer).
@@ -19,7 +19,7 @@
 
 #include "exec/backoff.h"
 #include "exec/faultplan.h"
-#include "sched/admitter.h"
+#include "serial_oracle.h"
 #include "shard/router.h"
 #include "shard/sharded_admitter.h"
 #include "util/rng.h"
@@ -95,8 +95,7 @@ struct RunOutcome {
 // submission (the root's verdict publishes before remote shards apply
 // their withdrawals), and "aborted vs accepted" would be a coin flip in
 // BOTH runs rather than a property of GC.
-template <typename Admitter>
-RunOutcome Drive(Admitter& admitter, const TransactionSet& txns,
+RunOutcome Drive(ShardedAdmitter& admitter, const TransactionSet& txns,
                  const std::vector<ScheduleEvent>& schedule,
                  std::uint64_t seed) {
   RunOutcome out;
@@ -178,21 +177,21 @@ TEST(EpochGcDifferential, GcIsDecisionAndWitnessIdentical) {
     const bool with_faults = round % 4 == 1;
     const bool with_snapshots = round % 4 == 2;
 
-    // Single-core admitter, GC'd vs unbounded.
+    // Single-core (one-shard) admitter, GC'd vs unbounded.
     {
-      AdmitterOptions gc_opts;
+      ShardedAdmitterOptions gc_opts;
       gc_opts.epoch_gc = true;
       gc_opts.gc_interval = 2;
       gc_opts.snapshot_reads = with_snapshots;
       if (with_faults) gc_opts.faults = &faults;
-      AdmitterOptions full_opts = gc_opts;
+      ShardedAdmitterOptions full_opts = gc_opts;
       full_opts.epoch_gc = false;
-      ConcurrentAdmitter gc_admitter(txns, spec, gc_opts);
+      ShardedAdmitter gc_admitter(txns, spec, SingleShard(txns), gc_opts);
       const RunOutcome gc = Drive(gc_admitter, txns, schedule, drive_seed);
-      ConcurrentAdmitter full_admitter(txns, spec, full_opts);
+      ShardedAdmitter full_admitter(txns, spec, SingleShard(txns), full_opts);
       const RunOutcome full =
           Drive(full_admitter, txns, schedule, drive_seed);
-      ExpectIdentical(gc, full, round, "concurrent");
+      ExpectIdentical(gc, full, round, "one-shard");
       gc_checkpoints += gc_admitter.checkpoints();
       gc_settled += gc_admitter.epochs()->settled_count();
     }

@@ -1,8 +1,10 @@
 // Fault-tolerance tests: the exact abort path (RemoveTransactionExact
 // differentially against rebuilt-from-scratch checkers, 500+ seeded
-// rounds), the admitter's abort/cascade/shed/timeout machinery, and
+// rounds), the admitter's abort/cascade/shed/timeout machinery (on the
+// single-core configuration, plus shedding across two shards), and
 // FaultPlan determinism (pure queries — identical at any pool size).
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <optional>
@@ -16,7 +18,9 @@
 #include "model/schedule.h"
 #include "model/text.h"
 #include "obs/trace.h"
-#include "sched/admitter.h"
+#include "serial_oracle.h"
+#include "shard/router.h"
+#include "shard/sharded_admitter.h"
 #include "spec/builders.h"
 #include "util/rng.h"
 #include "workload/generator.h"
@@ -125,9 +129,9 @@ TEST(FaultTest, ClientAbortCascadesToDirtyReaders) {
   const AtomicitySpec spec = FullyRelaxedSpec(*txns);
 
   Tracer tracer(TraceLevel::kFull);
-  AdmitterOptions options;
+  ShardedAdmitterOptions options;
   options.tracer = &tracer;
-  ConcurrentAdmitter admitter(*txns, spec, options);
+  ShardedAdmitter admitter(*txns, spec, SingleShard(*txns), options);
   EXPECT_TRUE(admitter.SubmitAndWait(txns->txn(0).op(0)));  // w1[x]
   EXPECT_TRUE(admitter.SubmitAndWait(txns->txn(1).op(0)));  // r2[x] dirty
   EXPECT_TRUE(admitter.SubmitAndWait(txns->txn(1).op(1)));  // w2[z]
@@ -148,9 +152,9 @@ TEST(FaultTest, ClientAbortCascadesToDirtyReaders) {
 
   // Only T3 survives, and the post-cascade state is bit-identical to a
   // checker that only ever saw T3.
-  EXPECT_EQ(admitter.checker().executed_count(), 2u);
-  EXPECT_EQ(admitter.checker().StateDigest(),
-            RebuiltDigest(*txns, spec, admitter.checker()));
+  const OnlineRsrChecker& checker = admitter.shard_checker(0);
+  EXPECT_EQ(checker.executed_count(), 2u);
+  EXPECT_EQ(checker.StateDigest(), RebuiltDigest(*txns, spec, checker));
   EXPECT_EQ(admitter.unrecoverable_reads(), 0u);
   EXPECT_EQ(tracer.counters().aborts, 1u);
   EXPECT_EQ(tracer.counters().cascade_aborts, 1u);
@@ -166,7 +170,7 @@ TEST(FaultTest, CommittedTransactionsAreImmune) {
       "T2 = r2[x]\n");
   ASSERT_TRUE(txns.ok());
   const AtomicitySpec spec = FullyRelaxedSpec(*txns);
-  ConcurrentAdmitter admitter(*txns, spec);
+  ShardedAdmitter admitter(*txns, spec, SingleShard(*txns));
   EXPECT_TRUE(admitter.SubmitAndWait(txns->txn(0).op(0)));  // w1[x]
   EXPECT_TRUE(admitter.SubmitAndWait(txns->txn(1).op(0)));  // r2[x]: commits T2
   EXPECT_TRUE(admitter.TxnCommitted(1));
@@ -190,10 +194,10 @@ TEST(FaultTest, SheddingKillsNewestUncommittedFirst) {
   ASSERT_TRUE(txns.ok());
   const AtomicitySpec spec = FullyRelaxedSpec(*txns);
   Tracer tracer(TraceLevel::kFull);
-  AdmitterOptions options;
+  ShardedAdmitterOptions options;
   options.tracer = &tracer;
   options.shed_high_water = 1;
-  ConcurrentAdmitter admitter(*txns, spec, options);
+  ShardedAdmitter admitter(*txns, spec, SingleShard(*txns), options);
 
   // Each SubmitAndWait drains before the next arrives, so the shed
   // check runs once per operation with a deterministic live set:
@@ -219,6 +223,64 @@ TEST(FaultTest, SheddingKillsNewestUncommittedFirst) {
                 tracer.counters().rejects);
 }
 
+// Shedding across shards: the victim is a live transaction resident on
+// both shards; the shedding core withdraws it locally and the other
+// shard withdraws it through the kill control, so neither checker keeps
+// an operation of it and the committed log replays serially.
+TEST(FaultTest, SheddingWithdrawsMultiShardVictimFromEveryShard) {
+  auto txns = ParseTransactionSet(
+      "T1 = w1[a] w1[a]\n"
+      "T2 = w2[b] w2[c] w2[b]\n"
+      "T3 = w3[d] w3[d]\n");
+  ASSERT_TRUE(txns.ok());
+  const AtomicitySpec spec = FullyRelaxedSpec(*txns);
+  Tracer tracer(TraceLevel::kFull);
+  ShardedAdmitterOptions options;
+  options.tracer = &tracer;
+  options.shed_high_water = 2;
+  ShardedAdmitter admitter(
+      *txns, spec, ShardRouter(txns->object_count(), 2, ShardStrategy::kRange),
+      options);
+  // Objects a, b live on shard 0 and c, d on shard 1, so T2 spans both.
+  const ShardRouter& router = admitter.plan().router();
+  ASSERT_EQ(router.ShardOf(txns->txn(1).op(0).object), 0u);
+  ASSERT_EQ(router.ShardOf(txns->txn(1).op(1).object), 1u);
+  ASSERT_EQ(router.ShardOf(txns->txn(2).op(0).object), 1u);
+
+  // One synchronous client, so each drain sees a fixed live set:
+  //   w1[a] (shard 0): live {T1}
+  //   w2[b] (shard 0): live {T1,T2}
+  //   w2[c] (shard 1): live {T1,T2}; T2 now has operations on both shards
+  //   w3[d] (shard 1): live {T1,T2,T3} > 2 -> shard 1 sheds the newest
+  //                    transaction it saw first, T2
+  //   w1[a], w3[d]: commit T1 and T3
+  EXPECT_TRUE(admitter.SubmitAndWait(txns->txn(0).op(0)));
+  EXPECT_TRUE(admitter.SubmitAndWait(txns->txn(1).op(0)));
+  EXPECT_TRUE(admitter.SubmitAndWait(txns->txn(1).op(1)));
+  EXPECT_TRUE(admitter.SubmitAndWait(txns->txn(2).op(0)));
+  EXPECT_EQ(admitter.SubmitAndWait(txns->txn(1).op(2)), AdmitOutcome::kShed);
+  EXPECT_TRUE(admitter.SubmitAndWait(txns->txn(0).op(1)));
+  EXPECT_TRUE(admitter.SubmitAndWait(txns->txn(2).op(1)));
+  admitter.Stop();
+
+  EXPECT_EQ(admitter.TxnVerdict(1), AdmitOutcome::kShed);
+  EXPECT_TRUE(admitter.TxnCommitted(0));
+  EXPECT_TRUE(admitter.TxnCommitted(2));
+  EXPECT_EQ(tracer.counters().sheds, 1u);
+  for (std::uint32_t shard = 0; shard < 2; ++shard) {
+    const OnlineRsrChecker& checker = admitter.shard_checker(shard);
+    EXPECT_FALSE(checker.TxnHasExecuted(1)) << "shard " << shard;
+    EXPECT_EQ(checker.executed_count(), 2u) << "shard " << shard;
+  }
+  OnlineRsrChecker replay(*txns, spec);
+  const std::vector<Operation> committed_log = admitter.CommittedLog();
+  EXPECT_EQ(committed_log.size(), 4u);
+  for (const Operation& op : committed_log) {
+    EXPECT_NE(op.txn, 1u);
+    ASSERT_TRUE(replay.TryAppend(op).ok());
+  }
+}
+
 // Backpressure and deadlines: a fault plan that pauses the admission
 // core makes the bounded ring fill (kRetry) and deadlines expire
 // (kTimeout); SubmitWithBackoff rides out the retries.
@@ -239,41 +301,50 @@ TEST(FaultTest, BackpressureRetriesAndDeadlineTimeouts) {
   const FaultPlan plan(0xFA03, fp);
 
   Tracer tracer(TraceLevel::kCounters);
-  AdmitterOptions options;
+  ShardedAdmitterOptions options;
   options.queue_capacity = 2;  // tiny ring: backpressure is the norm
   options.tracer = &tracer;
   options.faults = &plan;
-  ConcurrentAdmitter admitter(txns, spec, options);
+  ShardedAdmitter admitter(txns, spec, SingleShard(txns), options);
 
-  Backoff backoff(0xFA04);
-  std::uint64_t timeouts = 0;
+  // One client per transaction: timeout aborts travel on the core's
+  // control channel, not the ring, so only concurrent submissions
+  // against the paused core fill the tiny ring.
+  std::atomic<std::uint64_t> timeouts{0};
+  std::vector<std::thread> clients;
+  clients.reserve(txns.txn_count());
   for (TxnId t = 0; t < txns.txn_count(); ++t) {
-    bool live = true;
-    for (std::uint32_t i = 0; live && i < txns.txn(t).size(); ++i) {
-      const Operation& op = txns.txn(t).op(i);
-      if (t % 3 == 2) {
-        // Every third transaction runs under a deadline far shorter
-        // than the injected core pauses.
-        const AdmitResult result =
-            admitter.SubmitWithBackoff(op, backoff,
-                                       std::chrono::microseconds(50));
-        if (result.outcome == AdmitOutcome::kTimeout) ++timeouts;
-        live = result.ok();
-      } else {
-        live = admitter.SubmitWithBackoff(op, backoff).ok();
+    clients.emplace_back([&, t] {
+      Backoff backoff(0xFA04 + t);
+      for (std::uint32_t i = 0; i < txns.txn(t).size(); ++i) {
+        const Operation& op = txns.txn(t).op(i);
+        if (t % 3 == 2) {
+          // Every third transaction runs under a deadline far shorter
+          // than the injected core pauses.
+          const AdmitResult result = admitter.SubmitWithBackoff(
+              op, backoff, std::chrono::microseconds(50));
+          if (result.outcome == AdmitOutcome::kTimeout) {
+            timeouts.fetch_add(1, std::memory_order_relaxed);
+          }
+          if (!result.ok()) return;
+        } else if (!admitter.SubmitWithBackoff(op, backoff).ok()) {
+          return;
+        }
       }
-    }
+    });
   }
+  for (std::thread& client : clients) client.join();
   admitter.Stop();
 
   EXPECT_GT(admitter.retries(), 0u) << "tiny ring + paused core must refuse";
-  EXPECT_GT(timeouts, 0u) << "50us deadlines under ~1ms pauses must expire";
+  EXPECT_GT(timeouts.load(), 0u)
+      << "50us deadlines under ~1ms pauses must expire";
   EXPECT_EQ(tracer.counters().retries, admitter.retries());
   // The tracer records timeouts that took effect; a control message
   // that finds its transaction already committed (the op squeaked in
   // after the client gave up) or already dead is a no-op, so the
   // client-side count is an upper bound.
-  EXPECT_LE(tracer.counters().timeouts, timeouts);
+  EXPECT_LE(tracer.counters().timeouts, timeouts.load());
   // Whatever committed must still be serially admissible.
   OnlineRsrChecker replay(txns, spec);
   for (const Operation& op : admitter.CommittedLog()) {

@@ -11,10 +11,11 @@
 //     checker, and fully-committed histories are additionally checked
 //     against the brute-force oracle (core/brute.h).
 //   * Ratio-0 bit-identity: with no read-only transactions the fast
-//     path is invisible in ConcurrentAdmitter AND ShardedAdmitter,
+//     path is invisible in the admitter at one shard AND at four,
 //     decision for decision, under a deterministic lock-step feed.
 //   * Concurrent stress (run under TSan in ci.sh): client fleets over
-//     both admitters with snapshot_reads on; replay + completeness.
+//     one- and four-shard admitters with snapshot_reads on; replay +
+//     completeness.
 //   * Trace round-trip: snapshot_read events validate against the
 //     trace-format schema, summarize, and ingest into the auditor.
 #include <cstdint>
@@ -34,7 +35,7 @@
 #include "obs/export.h"
 #include "obs/inspect.h"
 #include "obs/trace.h"
-#include "sched/admitter.h"
+#include "serial_oracle.h"
 #include "shard/router.h"
 #include "shard/sharded_admitter.h"
 #include "spec/atomicity_spec.h"
@@ -238,10 +239,9 @@ TEST(SnapshotChecker, DifferentialVsReplayAndBruteForce) {
 }
 
 // Ratio 0 (every transaction has a writer): the fast path must be
-// bit-invisible for both admitters under a lock-step deterministic feed.
-template <typename Admitter>
-bool LockStepIdentical(const TransactionSet& txns, Admitter& on, Admitter& off,
-                       std::size_t round) {
+// bit-invisible at any shard count under a lock-step deterministic feed.
+bool LockStepIdentical(const TransactionSet& txns, ShardedAdmitter& on,
+                       ShardedAdmitter& off, std::size_t round) {
   std::vector<std::uint32_t> next(txns.txn_count(), 0);
   std::vector<std::uint8_t> dead(txns.txn_count(), 0);
   bool progress = true;
@@ -274,7 +274,7 @@ bool LockStepIdentical(const TransactionSet& txns, Admitter& on, Admitter& off,
   return true;
 }
 
-TEST(SnapshotAdmitters, RatioZeroBitIdentityConcurrent) {
+TEST(SnapshotAdmitters, RatioZeroBitIdentitySingleShard) {
   const Rng base(0x1D36CC01ULL);
   for (std::size_t round = 0; round < 8; ++round) {
     Rng rng = base.Split(round);
@@ -285,10 +285,10 @@ TEST(SnapshotAdmitters, RatioZeroBitIdentityConcurrent) {
     wp.read_only_txn_ratio = 0.0;
     const TransactionSet txns = GenerateTransactions(wp, &rng);
     const AtomicitySpec spec = RandomSpec(txns, 0.5, &rng);
-    AdmitterOptions on_opts;
+    ShardedAdmitterOptions on_opts;
     on_opts.snapshot_reads = true;
-    ConcurrentAdmitter on(txns, spec, on_opts);
-    ConcurrentAdmitter off(txns, spec);
+    ShardedAdmitter on(txns, spec, SingleShard(txns), on_opts);
+    ShardedAdmitter off(txns, spec, SingleShard(txns));
     EXPECT_TRUE(LockStepIdentical(txns, on, off, round));
   }
 }
@@ -320,9 +320,8 @@ TEST(SnapshotAdmitters, RatioZeroBitIdentitySharded) {
 // Concurrent stress with the fast path on (exercised under TSan by
 // ci.sh): a client fleet over a read-heavy workload; the merged
 // committed history must replay, complete, through a fresh checker.
-template <typename Admitter>
 void FleetAndGate(const TransactionSet& txns, const AtomicitySpec& spec,
-                  Admitter& admitter, std::size_t clients,
+                  ShardedAdmitter& admitter, std::size_t clients,
                   std::uint64_t seed) {
   std::vector<std::thread> fleet;
   fleet.reserve(clients);
@@ -359,7 +358,7 @@ void FleetAndGate(const TransactionSet& txns, const AtomicitySpec& spec,
   }
 }
 
-TEST(SnapshotAdmitters, ConcurrentFleetReadHeavySound) {
+TEST(SnapshotAdmitters, SingleShardFleetReadHeavySound) {
   Rng rng(0x5EED36CCULL);
   WorkloadParams wp;
   wp.txn_count = 256;
@@ -368,9 +367,9 @@ TEST(SnapshotAdmitters, ConcurrentFleetReadHeavySound) {
   wp.read_only_txn_ratio = 0.9;
   const TransactionSet txns = GenerateTransactions(wp, &rng);
   const AtomicitySpec spec = RandomSpec(txns, 0.5, &rng);
-  AdmitterOptions options;
+  ShardedAdmitterOptions options;
   options.snapshot_reads = true;
-  ConcurrentAdmitter admitter(txns, spec, options);
+  ShardedAdmitter admitter(txns, spec, SingleShard(txns), options);
   FleetAndGate(txns, spec, admitter, 4, 0xC0FFEEULL);
   EXPECT_GT(admitter.snapshot_admits(), 0u);
 }
@@ -405,11 +404,11 @@ TEST(SnapshotAdmitters, TraceRoundTripWithSnapshotReads) {
   const TransactionSet txns = GenerateTransactions(wp, &rng);
   const AtomicitySpec spec = RandomSpec(txns, 0.5, &rng);
   Tracer tracer(TraceLevel::kFull);
-  AdmitterOptions options;
+  ShardedAdmitterOptions options;
   options.snapshot_reads = true;
   options.tracer = &tracer;
   {
-    ConcurrentAdmitter admitter(txns, spec, options);
+    ShardedAdmitter admitter(txns, spec, SingleShard(txns), options);
     for (TxnId t = 0; t < txns.txn_count(); ++t) {
       for (const Operation& op : txns.txn(t).ops()) {
         if (!admitter.SubmitAndWait(op).ok()) break;

@@ -4,7 +4,7 @@
 // coordinator's cycle/dead/dedup semantics, deterministic cross-shard
 // reject and abort-cascade scenarios on the ShardedAdmitter, fault-plan
 // driven backpressure/timeouts, and the single-shard decision-identity
-// gate against ConcurrentAdmitter.
+// gate against the serial policy oracle (tests/serial_oracle.h).
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -21,7 +21,7 @@
 #include "model/op_indexer.h"
 #include "model/text.h"
 #include "obs/trace.h"
-#include "sched/admitter.h"
+#include "serial_oracle.h"
 #include "shard/coordinator.h"
 #include "shard/projection.h"
 #include "shard/router.h"
@@ -403,9 +403,10 @@ TEST(ShardedAdmitterTest, BackpressureRetriesAndTimeoutsUnderFaultPlan) {
 // THE single-shard gate: with one shard the projection is the identity,
 // the coordinator never hears anything (no multi-shard transactions, so
 // nothing is ever tainted), and a deterministic single-threaded feed
-// must produce exactly ConcurrentAdmitter's decisions, verdicts, and
-// committed history — operation by operation.
-TEST(ShardedAdmitterTest, SingleShardIsDecisionIdenticalToConcurrentAdmitter) {
+// must produce exactly the serial policy's decisions, verdicts,
+// recoverability count, committed history and checker state —
+// operation by operation.
+TEST(ShardedAdmitterTest, SingleShardIsDecisionIdenticalToSerialOracle) {
   const Rng base(0x1D3A);
   for (int round = 0; round < 60; ++round) {
     Rng rng = base.Split(static_cast<std::uint64_t>(round));
@@ -419,10 +420,8 @@ TEST(ShardedAdmitterTest, SingleShardIsDecisionIdenticalToConcurrentAdmitter) {
     const TransactionSet txns = GenerateShardedTransactions(wp, &rng);
     const AtomicitySpec spec = RandomSpec(txns, rng.UniformDouble(), &rng);
 
-    ConcurrentAdmitter reference(txns, spec);
-    ShardedAdmitter sharded(
-        txns, spec,
-        ShardRouter(txns.object_count(), 1, ShardStrategy::kRange));
+    SerialOracle reference(txns, spec);
+    ShardedAdmitter sharded(txns, spec, SingleShard(txns));
 
     // Random single-threaded interleaving with occasional client aborts
     // and occasional submissions against already-dead transactions.
@@ -437,11 +436,11 @@ TEST(ShardedAdmitterTest, SingleShardIsDecisionIdenticalToConcurrentAdmitter) {
         }
         if (!started.empty()) {
           const TxnId victim = rng.Choice(started);
-          const AdmitResult a = reference.AbortTxn(victim);
+          const AdmitOutcome a = reference.Abort(victim);
           const AdmitResult b = sharded.AbortTxn(victim);
-          ASSERT_EQ(a.outcome, b.outcome)
+          ASSERT_EQ(a, b.outcome)
               << "round " << round << " aborting T" << victim;
-          if (a.outcome != AdmitOutcome::kReject) dead[victim] = 1;
+          if (a != AdmitOutcome::kReject) dead[victim] = 1;
           continue;
         }
       }
@@ -455,18 +454,17 @@ TEST(ShardedAdmitterTest, SingleShardIsDecisionIdenticalToConcurrentAdmitter) {
       if (feedable.empty()) break;
       const TxnId t = rng.Choice(feedable);
       const Operation& op = txns.txn(t).op(next[t]);
-      const AdmitResult a = reference.SubmitAndWait(op);
+      const AdmitOutcome a = reference.Submit(op);
       const AdmitResult b = sharded.SubmitAndWait(op);
-      ASSERT_EQ(a.outcome, b.outcome)
+      ASSERT_EQ(a, b.outcome)
           << "round " << round << " T" << t << " op " << next[t];
       ++next[t];
-      if (!a.ok()) dead[t] = 1;
+      if (a != AdmitOutcome::kAccept) dead[t] = 1;
     }
-    reference.Stop();
     sharded.Stop();
 
     for (TxnId t = 0; t < txns.txn_count(); ++t) {
-      ASSERT_EQ(reference.TxnCommitted(t), sharded.TxnCommitted(t))
+      ASSERT_EQ(reference.committed(t), sharded.TxnCommitted(t))
           << "round " << round << " T" << t;
     }
     ASSERT_EQ(reference.accepted(), sharded.accepted()) << "round " << round;
@@ -480,6 +478,9 @@ TEST(ShardedAdmitterTest, SingleShardIsDecisionIdenticalToConcurrentAdmitter) {
       ASSERT_EQ(indexer.GlobalId(ref_log[i]), indexer.GlobalId(shard_log[i]))
           << "round " << round << " position " << i;
     }
+    ASSERT_EQ(reference.checker().StateDigest(),
+              sharded.shard_checker(0).StateDigest())
+        << "round " << round;
     // Single shard: nothing ever escalates to the coordinator.
     EXPECT_EQ(sharded.coordinator().arcs_mirrored(), 0u) << "round " << round;
     EXPECT_EQ(sharded.shard_stats(0).escalations, 0u) << "round " << round;

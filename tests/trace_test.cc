@@ -13,10 +13,11 @@
 #include "obs/export.h"
 #include "obs/inspect.h"
 #include "obs/trace.h"
-#include "sched/admitter.h"
 #include "sched/engine.h"
 #include "sched/factory.h"
 #include "sched/replay.h"
+#include "serial_oracle.h"
+#include "shard/sharded_admitter.h"
 #include "util/json.h"
 
 namespace relser {
@@ -231,7 +232,7 @@ TEST(TraceInvariants, SnapshotJsonParsesAndMatchesCounters) {
             tracer.counters().admits);
 }
 
-// One synchronous client makes the concurrent admitter's counters fully
+// One synchronous client makes the single-core admitter's counters fully
 // deterministic: every SubmitAndWait blocks until its decision, so the
 // core drains exactly one operation per batch.
 TEST(TraceInvariants, AdmitterCountersGoldenForSynchronousClient) {
@@ -239,10 +240,11 @@ TEST(TraceInvariants, AdmitterCountersGoldenForSynchronousClient) {
   const PaperExample example = Figure1();
   const Schedule& schedule = example.schedule("S2");
   Tracer tracer(TraceLevel::kCounters);
-  AdmitterOptions options;
+  ShardedAdmitterOptions options;
   options.tracer = &tracer;
   {
-    ConcurrentAdmitter admitter(example.txns, example.spec, options);
+    ShardedAdmitter admitter(example.txns, example.spec,
+                             SingleShard(example.txns), options);
     for (std::size_t i = 0; i < schedule.size(); ++i) {
       admitter.SubmitAndWait(schedule.op(i));
     }
