@@ -20,9 +20,15 @@
 // its operations present). Aborts, cascades, sheds and timeouts may
 // discard work, but they must never corrupt what committed.
 //
+// Per run it also reports the p99 latency of one client submission
+// (SubmitWithBackoff, all outcomes; injected stalls and drops excluded)
+// and the cost of the checker's exact-abort restorations: surviving
+// operations re-admitted and full-replay fallbacks.
+//
 // Emits BENCH_faults.json (cwd + repo root + bench/trajectory/ when a
 // tag is set) via WriteBenchJsonFile. `--smoke` shrinks the grid and the
 // workload for CI; `--tag=NAME` snapshots the trajectory file.
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <iostream>
@@ -67,6 +73,9 @@ struct FaultRun {
   std::size_t committed_ops = 0;
   double seconds = 0.0;
   double committed_ops_per_sec = 0.0;
+  double submit_p99_us = 0.0;
+  std::uint64_t abort_replayed_ops = 0;
+  std::uint64_t abort_full_replays = 0;
   bool replay_sound = true;
   bool committed_complete = true;
 };
@@ -105,6 +114,7 @@ FaultRun RunAtRate(const TransactionSet& txns, const AtomicitySpec& spec,
 
   std::vector<std::uint64_t> drops(clients, 0);
   std::vector<std::uint64_t> stalls(clients, 0);
+  std::vector<std::vector<std::uint64_t>> submit_ns(clients);
   const auto start = std::chrono::steady_clock::now();
   std::vector<std::thread> fleet;
   fleet.reserve(clients);
@@ -134,11 +144,15 @@ FaultRun RunAtRate(const TransactionSet& txns, const AtomicitySpec& spec,
             std::this_thread::sleep_for(
                 std::chrono::microseconds(fault.stall_us));
           }
-          if (!admitter.SubmitWithBackoff(txns.txn(t).op(i), backoff,
-                                          deadline)
-                   .ok()) {
-            break;  // rejected, aborted, shed or timed out
-          }
+          const auto submitted = std::chrono::steady_clock::now();
+          const bool accepted =
+              admitter.SubmitWithBackoff(txns.txn(t).op(i), backoff, deadline)
+                  .ok();
+          submit_ns[c].push_back(static_cast<std::uint64_t>(
+              std::chrono::duration_cast<std::chrono::nanoseconds>(
+                  std::chrono::steady_clock::now() - submitted)
+                  .count()));
+          if (!accepted) break;  // rejected, aborted, shed or timed out
           if (abort_after.has_value() && i + 1 == *abort_after) {
             admitter.AbortTxn(t);  // scripted mid-stream client abort
             break;
@@ -152,9 +166,19 @@ FaultRun RunAtRate(const TransactionSet& txns, const AtomicitySpec& spec,
   admitter.Stop();
   run.seconds = SecondsSince(start);
 
+  std::vector<std::uint64_t> latencies;
   for (std::size_t c = 0; c < clients; ++c) {
     run.drops += drops[c];
     run.stall_us += stalls[c];
+    latencies.insert(latencies.end(), submit_ns[c].begin(),
+                     submit_ns[c].end());
+  }
+  if (!latencies.empty()) {
+    const std::size_t rank = latencies.size() * 99 / 100;
+    std::nth_element(latencies.begin(),
+                     latencies.begin() + static_cast<std::ptrdiff_t>(rank),
+                     latencies.end());
+    run.submit_p99_us = static_cast<double>(latencies[rank]) / 1e3;
   }
   const TraceCounters& counters = tracer.counters();
   run.aborts = counters.aborts;
@@ -162,6 +186,8 @@ FaultRun RunAtRate(const TransactionSet& txns, const AtomicitySpec& spec,
   run.sheds = counters.sheds;
   run.timeouts = counters.timeouts;
   run.retries = counters.retries;
+  run.abort_replayed_ops = counters.abort_replayed_ops;
+  run.abort_full_replays = counters.abort_full_replays;
   run.unrecoverable_reads = admitter.unrecoverable_reads();
 
   // -- Hard gate: the committed prefix replays relatively serializably.
@@ -223,7 +249,8 @@ int main(int argc, char** argv) {
   std::vector<FaultRun> runs;
   bool sound = true;
   AsciiTable table({"rate", "committed", "aborts", "cascades", "sheds",
-                    "timeouts", "retries", "drops", "committed-replay"});
+                    "timeouts", "retries", "drops", "p99 us", "replayed",
+                    "full", "committed-replay"});
   for (std::size_t r = 0; r < rates.size(); ++r) {
     const FaultRun run =
         RunAtRate(txns, spec, rates[r], clients, 0xFA17ULL * (r + 1));
@@ -236,6 +263,9 @@ int main(int argc, char** argv) {
                   std::to_string(run.cascade_aborts),
                   std::to_string(run.sheds), std::to_string(run.timeouts),
                   std::to_string(run.retries), std::to_string(run.drops),
+                  std::to_string(run.submit_p99_us),
+                  std::to_string(run.abort_replayed_ops),
+                  std::to_string(run.abort_full_replays),
                   run_sound ? "sound" : "UNSOUND"});
     runs.push_back(run);
   }
@@ -286,6 +316,12 @@ int main(int argc, char** argv) {
     json.Double(run.seconds);
     json.Key("committed_ops_per_sec");
     json.Double(run.committed_ops_per_sec);
+    json.Key("submit_p99_us");
+    json.Double(run.submit_p99_us);
+    json.Key("abort_replayed_ops");
+    json.Uint(run.abort_replayed_ops);
+    json.Key("abort_full_replays");
+    json.Uint(run.abort_full_replays);
     json.Key("replay_sound");
     json.Bool(run.replay_sound);
     json.Key("committed_complete");

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # CI entry point: the plain Release build and test suite (the tier-1
-# command, warnings as errors), sanitizer builds, and perf smokes of the
-# online admission hot path. Fails on any build warning or test
+# command, warnings as errors), the admission benchmark's self-test,
+# sanitizer builds, and perf smokes of the online admission hot path.
+# Fails on any build warning or test failure, a benchmark self-test
 # failure, any sanitizer report, a decision mismatch between the
 # optimized and baseline checkers, or a malformed BENCH_online.json.
 set -euo pipefail
@@ -14,6 +15,12 @@ cd "$(dirname "$0")/.."
 cmake -B build -S .
 cmake --build build -j
 (cd build && ctest --output-on-failure -j)
+
+# Benchmark self-test: builds perfbench/ from the library sources and
+# runs every workload briefly, untraced and traced. A src/ change that
+# breaks the benchmark's build, its metric names or units, or the audit
+# round trip of its exported trace fails here.
+python3 perfbench/selftest.py
 
 cmake --preset asan
 cmake --build --preset asan -j"$(nproc)"

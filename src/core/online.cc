@@ -23,7 +23,10 @@ OnlineRsrChecker::OnlineRsrChecker(const TransactionSet& txns,
       newest_gid_(txn_count_, kNoGid),
       epoch_(txn_count_, 1),
       txn_objects_(txn_count_),
-      scratch_anc_(txn_count_, 0) {
+      scratch_anc_(txn_count_, 0),
+      first_pos_(txn_count_, 0),
+      journal_budget_(std::max(kJournalEntriesPerOp * indexer_.total_ops(),
+                               kMinJournalEntries)) {
   RELSER_CHECK_MSG(spec.ValidateAgainst(txns).ok(),
                    "specification does not match the transaction set");
   // Steady-state arc volume per op is bounded by the frontier size plus
@@ -34,6 +37,7 @@ OnlineRsrChecker::OnlineRsrChecker(const TransactionSet& txns,
   feed_log_.reserve(indexer_.total_ops());
   pending_memos_.reserve(txn_count_);
   topo_.Reserve(4 * indexer_.total_ops());
+  topo_.set_journaling(true);  // journal_on_ starts true
   // Pre-size the adjacency arena; together with the per-object and
   // per-transaction reservations below this keeps the steady-state
   // admission path free of heap allocations (bench_online_hotpath
@@ -82,6 +86,41 @@ void OnlineRsrChecker::ReleaseSlotIfAny(std::size_t gid) {
   slot_of_[gid] = kNoSlot;
   slot_owner_[slot] = kNoGid;
   free_slots_.push_back(slot);
+  if (journal_on_) {
+    // A rollback may hand the row back to `gid`, so its contents are
+    // held until the journal start passes this append — as (txn, value)
+    // pairs: rows are sparse (a few nonzero entries out of txn_count_),
+    // so the slot itself is reused at once.
+    const std::uint32_t* row = &pool_[static_cast<std::size_t>(slot) *
+                                      txn_count_];
+    std::uint32_t held = 0;
+    for (std::size_t t = 0; t < txn_count_; ++t) {
+      if (row[t] != 0) {
+        held_rows_.push_back({static_cast<std::uint32_t>(t), row[t]});
+        ++held;
+      }
+    }
+    changes_.push_back({gid, held, ChangeKind::kRelease});
+  }
+}
+
+void OnlineRsrChecker::DropFlag(std::size_t gid, std::uint8_t bit) {
+  if (journal_on_) changes_.push_back({gid, flags_[gid], ChangeKind::kFlags});
+  flags_[gid] = static_cast<std::uint8_t>(flags_[gid] & ~std::uint32_t{bit});
+  ReleaseSlotIfAny(gid);
+}
+
+void OnlineRsrChecker::ClearSafe(TxnId txn) {
+  if (safe_[txn] == 0) return;
+  if (journal_on_) changes_.push_back({txn, 1, ChangeKind::kSafe});
+  safe_[txn] = 0;
+}
+
+void OnlineRsrChecker::OpenRecord() {
+  open_record_.change_mark = changes_.end();
+  open_record_.held_mark = held_rows_.end();
+  open_record_.memo_mark = memo_undo_.end();
+  open_record_.topo_mark = topo_.JournalEnd();
 }
 
 AdmitResult OnlineRsrChecker::TryAppend(const Operation& op) {
@@ -93,6 +132,7 @@ AdmitResult OnlineRsrChecker::TryAppend(const Operation& op) {
                      "operations must be fed in program order");
   }
   const TxnId j = op.txn;
+  OpenRecord();
 
   // Seed the scratch ancestor array from the previous op of the same
   // transaction (ancestor arrays are cumulative along program order).
@@ -110,20 +150,21 @@ AdmitResult OnlineRsrChecker::TryAppend(const Operation& op) {
   // object's conflict frontier (last writer + readers since it). Every
   // older conflicting op is an ancestor of some frontier member, so the
   // frontier is enough both for exact ancestor maxima and — transitively —
-  // for D-arc reachability (docs/hotpath.md, Lemma 1).
+  // for D-arc reachability (docs/hotpath.md, Lemma 1). An object without
+  // state has an empty frontier; its state is created only on commit, so
+  // a rejection leaves the object index untouched.
   pred_buf_.clear();
-  const std::uint32_t obj_idx = ObjIndex(op.object);
-  {
+  const std::uint32_t* found_obj = object_index_.Find(op.object);
+  const std::uint32_t obj_idx = found_obj != nullptr ? *found_obj : kNoObj;
+  if (found_obj != nullptr) {
     const ObjState& state = objects_[obj_idx];
     if (state.last_writer != kNoGid &&
-        txns_.OpByGlobalId(state.last_writer).txn != j) {
+        indexer_.TxnOf(state.last_writer) != j) {
       pred_buf_.push_back(state.last_writer);
     }
     if (op.is_write()) {
       for (const std::size_t reader : state.readers) {
-        if (txns_.OpByGlobalId(reader).txn != j) {
-          pred_buf_.push_back(reader);
-        }
+        if (indexer_.TxnOf(reader) != j) pred_buf_.push_back(reader);
       }
     }
   }
@@ -141,7 +182,7 @@ AdmitResult OnlineRsrChecker::TryAppend(const Operation& op) {
   for (const std::size_t pred : pred_buf_) {
     arc_buf_.emplace_back(pred, gid);  // D-arc to the conflict frontier
     arc_kind_buf_.push_back(kDependencyArc);
-    const Operation& pred_op = txns_.OpByGlobalId(pred);
+    const Operation& pred_op = indexer_.Op(pred);
     const std::uint32_t pred_slot = slot_of_[pred];
     RELSER_DCHECK(pred_slot != kNoSlot);
     const std::uint32_t* panc = &pool_[pred_slot * txn_count_];
@@ -197,8 +238,8 @@ AdmitResult OnlineRsrChecker::TryAppend(const Operation& op) {
     ArcWitness witness;
     witness.valid = true;
     const auto [bad_from, bad_to] = topo_.last_rejected_edge();
-    witness.from = txns_.OpByGlobalId(bad_from);
-    witness.to = txns_.OpByGlobalId(bad_to);
+    witness.from = indexer_.Op(bad_from);
+    witness.to = indexer_.Op(bad_to);
     for (std::size_t a = 0; a < arc_buf_.size(); ++a) {
       if (arc_buf_[a].first == bad_from && arc_buf_[a].second == bad_to) {
         witness.arc_kinds = arc_kind_buf_[a];
@@ -224,10 +265,8 @@ AdmitResult OnlineRsrChecker::TryAppend(const Operation& op) {
                          topo_.reorder_count() - repairs_before);
     if (tracing) {
       for (std::size_t a = 0; a < arc_buf_.size(); ++a) {
-        tracer_->RecordArc(arc_kind_buf_[a],
-                           txns_.OpByGlobalId(arc_buf_[a].first),
-                           txns_.OpByGlobalId(arc_buf_[a].second),
-                           tracer_->tick());
+        tracer_->RecordArc(arc_kind_buf_[a], indexer_.Op(arc_buf_[a].first),
+                           indexer_.Op(arc_buf_[a].second), tracer_->tick());
       }
     }
   }
@@ -235,7 +274,9 @@ AdmitResult OnlineRsrChecker::TryAppend(const Operation& op) {
   // Commit: memos, then the shared tail (ancestor array, retention
   // flags, frontier, indices).
   for (const PendingMemo& pending : pending_memos_) {
-    *memo_.Upsert(pending.key).first = pending.entry;
+    const auto [entry, inserted] = memo_.Upsert(pending.key);
+    if (journal_on_) memo_undo_.push_back({pending.key, *entry, !inserted});
+    *entry = pending.entry;
   }
   // Isolation tracking for TryAppendIsolated: every arc emitted above is
   // incident only on transactions with a nonzero scratch entry (plus j
@@ -244,11 +285,11 @@ AdmitResult OnlineRsrChecker::TryAppend(const Operation& op) {
   bool cross = false;
   for (std::size_t t = 0; t < txn_count_; ++t) {
     if (t != j && scratch_anc_[t] != 0) {
-      safe_[t] = 0;
+      ClearSafe(static_cast<TxnId>(t));
       cross = true;
     }
   }
-  if (cross) safe_[j] = 0;
+  if (cross) ClearSafe(j);
   CommitOp(op, gid, obj_idx);
   return AdmitResult::Accept(j);
 }
@@ -263,8 +304,9 @@ AdmitResult OnlineRsrChecker::TryAppendIsolated(const Operation& op) {
   }
   const TxnId j = op.txn;
   if (safe_[j] == 0) return AdmitResult::Retry(j);
-  const std::uint32_t obj_idx = ObjIndex(op.object);
-  {
+  const std::uint32_t* found_obj = object_index_.Find(op.object);
+  const std::uint32_t obj_idx = found_obj != nullptr ? *found_obj : kNoObj;
+  if (found_obj != nullptr) {
     // Eligibility: the object's frontier must be empty or owned by j.
     // (A read could tolerate foreign readers; eligibility is kept
     // object-exclusive so the check stays one comparison.)
@@ -272,13 +314,14 @@ AdmitResult OnlineRsrChecker::TryAppendIsolated(const Operation& op) {
     // kReject: this path cannot prove a cycle.
     const ObjState& state = objects_[obj_idx];
     if (state.last_writer != kNoGid &&
-        txns_.OpByGlobalId(state.last_writer).txn != j) {
+        indexer_.TxnOf(state.last_writer) != j) {
       return AdmitResult::Retry(j);
     }
     for (const std::size_t reader : state.readers) {
-      if (txns_.OpByGlobalId(reader).txn != j) return AdmitResult::Retry(j);
+      if (indexer_.TxnOf(reader) != j) return AdmitResult::Retry(j);
     }
   }
+  OpenRecord();
 
   // Guaranteed accept: j's nodes carry no cross-transaction arcs
   // (safe_), the frontier contributes no D-arc and the ancestor array
@@ -304,7 +347,7 @@ AdmitResult OnlineRsrChecker::TryAppendIsolated(const Operation& op) {
                                : 0,
                            0);
       if (tracer_->events_on()) {
-        tracer_->RecordArc(kInternalArc, txns_.OpByGlobalId(gid - 1), op,
+        tracer_->RecordArc(kInternalArc, indexer_.Op(gid - 1), op,
                            tracer_->tick());
       }
     }
@@ -318,30 +361,33 @@ AdmitResult OnlineRsrChecker::TryAppendIsolated(const Operation& op) {
 void OnlineRsrChecker::CommitOp(const Operation& op, std::size_t gid,
                                 std::uint32_t obj_idx) {
   const TxnId j = op.txn;
+  AppendRecord& record = open_record_;
+  record.gid = gid;
+  record.obj_created = obj_idx == kNoObj;
+  if (record.obj_created) obj_idx = ObjIndex(op.object);
+  record.obj_idx = obj_idx;
   const std::uint32_t slot = AcquireSlot(gid);
   std::copy(scratch_anc_.begin(), scratch_anc_.end(),
             &pool_[slot * txn_count_]);
   flags_[gid] = static_cast<std::uint8_t>(kNewestFlag | kFrontierFlag);
-  if (op.index > 0) {
-    flags_[gid - 1] = static_cast<std::uint8_t>(flags_[gid - 1] &
-                                                ~std::uint32_t{kNewestFlag});
-    ReleaseSlotIfAny(gid - 1);
-  }
+  if (op.index > 0) DropFlag(gid - 1, kNewestFlag);
   newest_gid_[j] = gid;
 
   ObjState& state = objects_[obj_idx];
+  record.old_last_writer = state.last_writer;
   if (op.is_write()) {
     // The old frontier is dominated: future conflicts reach it through
     // this write. Drop its retention claims.
-    if (state.last_writer != kNoGid) {
-      flags_[state.last_writer] = static_cast<std::uint8_t>(
-          flags_[state.last_writer] & ~std::uint32_t{kFrontierFlag});
-      ReleaseSlotIfAny(state.last_writer);
+    if (state.last_writer != kNoGid) DropFlag(state.last_writer, kFrontierFlag);
+    if (journal_on_) {
+      // Logged newest first, so the newest-first undo re-appends them in
+      // feed order.
+      for (auto it = state.readers.rbegin(); it != state.readers.rend(); ++it) {
+        changes_.push_back({*it, 0, ChangeKind::kReader});
+      }
     }
     for (const std::size_t reader : state.readers) {
-      flags_[reader] = static_cast<std::uint8_t>(
-          flags_[reader] & ~std::uint32_t{kFrontierFlag});
-      ReleaseSlotIfAny(reader);
+      DropFlag(reader, kFrontierFlag);
     }
     state.readers.clear();
     state.last_writer = gid;
@@ -353,7 +399,126 @@ void OnlineRsrChecker::CommitOp(const Operation& op, std::size_t gid,
 
   executed_[gid] = 1;
   ++executed_count_;
+  if (op.index == 0) first_pos_[j] = feed_log_.size();
   feed_log_.push_back(gid);
+  if (journal_on_) {
+    records_.push_back(record);
+    TrimJournal();
+  }
+}
+
+void OnlineRsrChecker::TrimJournal() {
+  while (!records_.empty()) {
+    const std::size_t pos = records_.begin();
+    const TxnId t = indexer_.TxnOf(records_.at(pos).gid);
+    // A complete transaction at the start means no rollback can need
+    // `pos` any more: every transaction admitted before the next position
+    // is complete, and a complete victim older than the journal takes the
+    // full-replay fallback. Over budget, `pos` goes anyway (same
+    // fallback), which keeps the journal O(graph size) while one
+    // transaction stays incomplete for the whole run.
+    const bool complete = newest_gid_[t] + 1 == indexer_.TxnEnd(t);
+    const std::size_t entries = records_.size() + changes_.size() +
+                                held_rows_.size() + memo_undo_.size() +
+                                topo_.JournalSize();
+    if (!complete && entries <= journal_budget_) break;
+    const bool last = pos + 1 == records_.end();
+    changes_.DropBefore(last ? changes_.end()
+                             : records_.at(pos + 1).change_mark);
+    held_rows_.DropBefore(last ? held_rows_.end()
+                               : records_.at(pos + 1).held_mark);
+    memo_undo_.DropBefore(last ? memo_undo_.end()
+                               : records_.at(pos + 1).memo_mark);
+    topo_.ForgetBefore(last ? topo_.JournalEnd()
+                            : records_.at(pos + 1).topo_mark);
+    records_.DropBefore(pos + 1);
+  }
+}
+
+void OnlineRsrChecker::RollbackTo(std::size_t pos) {
+  RELSER_DCHECK(pos >= records_.begin());
+  while (records_.end() > pos) {
+    UndoAppend(records_.back());
+    records_.pop_back();
+  }
+}
+
+void OnlineRsrChecker::UndoAppend(const AppendRecord& record) {
+  // The exact inverse of TryAppend/TryAppendIsolated + CommitOp, in
+  // reverse order of their effects.
+  const std::size_t gid = record.gid;
+  const Operation& op = indexer_.Op(gid);
+  const TxnId j = op.txn;
+  ObjState& state = objects_[record.obj_idx];
+  RELSER_DCHECK(!feed_log_.empty() && feed_log_.back() == gid);
+  feed_log_.pop_back();
+  executed_[gid] = 0;
+  --executed_count_;
+  txn_objects_[j].pop_back();
+  state.ops.pop_back();
+  if (op.is_write()) {
+    state.last_writer = record.old_last_writer;  // readers: kReader below
+  } else {
+    state.readers.pop_back();
+  }
+  newest_gid_[j] = op.index > 0 ? gid - 1 : kNoGid;
+  while (changes_.end() > record.change_mark) {
+    const Change& change = changes_.back();
+    switch (change.kind) {
+      case ChangeKind::kFlags:
+        flags_[change.id] = static_cast<std::uint8_t>(change.value);
+        break;
+      case ChangeKind::kRelease: {
+        // Which slot the row lands in is allocation history, not state.
+        const std::uint32_t slot = AcquireSlot(change.id);
+        std::uint32_t* row = &pool_[static_cast<std::size_t>(slot) *
+                                    txn_count_];
+        std::fill(row, row + txn_count_, 0u);
+        for (std::uint32_t k = 0; k < change.value; ++k) {
+          row[held_rows_.back().first] = held_rows_.back().second;
+          held_rows_.pop_back();
+        }
+        break;
+      }
+      case ChangeKind::kSafe:
+        safe_[change.id] = 1;
+        break;
+      case ChangeKind::kReader:
+        state.readers.push_back(change.id);
+        break;
+    }
+    changes_.pop_back();
+  }
+  flags_[gid] = 0;
+  const std::uint32_t slot = slot_of_[gid];
+  slot_of_[gid] = kNoSlot;
+  slot_owner_[slot] = kNoGid;
+  free_slots_.push_back(slot);
+  while (memo_undo_.end() > record.memo_mark) {
+    const MemoUndo& undo = memo_undo_.back();
+    if (undo.existed) {
+      *memo_.Find(undo.key) = undo.old;
+    } else {
+      memo_.Erase(undo.key);
+    }
+    memo_undo_.pop_back();
+  }
+  topo_.RollbackTo(record.topo_mark);
+  if (record.obj_created) {
+    RELSER_DCHECK(record.obj_idx + 1 == objects_.size());
+    object_index_.Erase(op.object);
+    objects_.pop_back();
+    obj_stamp_.pop_back();
+  }
+}
+
+void OnlineRsrChecker::ResetJournal(bool on) {
+  records_.Reset(feed_log_.size());
+  changes_.Reset(0);
+  held_rows_.Reset(0);
+  memo_undo_.Reset(0);
+  topo_.set_journaling(on);
+  journal_on_ = on;
 }
 
 void OnlineRsrChecker::RetainFrontier(std::size_t gid) {
@@ -363,7 +528,7 @@ void OnlineRsrChecker::RetainFrontier(std::size_t gid) {
   // from the newest retained array of its transaction. That array is a
   // superset of the op's true ancestors (arrays are cumulative along
   // program order), so admission stays sound.
-  const TxnId txn = txns_.OpByGlobalId(gid).txn;
+  const TxnId txn = indexer_.TxnOf(gid);
   const std::size_t newest = newest_gid_[txn];
   RELSER_DCHECK(newest != kNoGid && slot_of_[newest] != kNoSlot);
   const std::size_t src = static_cast<std::size_t>(slot_of_[newest]) *
@@ -378,7 +543,7 @@ void OnlineRsrChecker::RebuildFrontier(ObjState& state) {
   rebuild_reads_.clear();
   for (std::size_t i = state.ops.size(); i > 0; --i) {
     const std::size_t gid = state.ops[i - 1];
-    if (txns_.OpByGlobalId(gid).is_write()) {
+    if (indexer_.Op(gid).is_write()) {
       state.last_writer = gid;
       break;
     }
@@ -393,6 +558,7 @@ void OnlineRsrChecker::RebuildFrontier(ObjState& state) {
 }
 
 void OnlineRsrChecker::RemoveTransaction(TxnId txn) {
+  ResetJournal(false);
   const std::size_t begin = indexer_.TxnBegin(txn);
   const std::size_t end = indexer_.TxnEnd(txn);
   for (std::size_t gid = begin; gid < end; ++gid) {
@@ -459,17 +625,30 @@ void OnlineRsrChecker::RemoveTransaction(TxnId txn) {
 }
 
 void OnlineRsrChecker::RemoveTransactionExact(TxnId txn) {
+  if (journal_on_ && !TxnHasExecuted(txn)) return;  // nothing to forget
   const std::size_t begin = indexer_.TxnBegin(txn);
   const std::size_t end = indexer_.TxnEnd(txn);
+  const bool rollback = journal_on_ && first_pos_[txn] >= records_.begin();
+  const std::size_t from = rollback ? first_pos_[txn] : 0;
 
-  // Snapshot the surviving feed, then reset every piece of admission
-  // state to its freshly-constructed value.
+  // Snapshot the survivors from the restart point on, then restore the
+  // state that preceded it: undo the journaled suffix, or reset
+  // everything.
   replay_feed_.clear();
-  replay_feed_.reserve(feed_log_.size());
-  for (const std::size_t gid : feed_log_) {
+  for (std::size_t pos = from; pos < feed_log_.size(); ++pos) {
+    const std::size_t gid = feed_log_[pos];
     if (gid < begin || gid >= end) replay_feed_.push_back(gid);
   }
-  ResetAndReplay();
+  if (rollback) {
+    RollbackTo(from);
+    ReplaySilently();
+  } else {
+    ResetAndReplay();
+  }
+  if (tracer_ != nullptr) {
+    tracer_->RecordAbortReplay(replay_feed_.size(), !rollback,
+                               tracer_->tick());
+  }
 }
 
 std::size_t OnlineRsrChecker::Truncate(
@@ -478,7 +657,7 @@ std::size_t OnlineRsrChecker::Truncate(
   replay_feed_.reserve(feed_log_.size());
   std::size_t dropped = 0;
   for (const std::size_t gid : feed_log_) {
-    const TxnId t = txns_.OpByGlobalId(gid).txn;
+    const TxnId t = indexer_.TxnOf(gid);
     if (settled[t].load(std::memory_order_relaxed) != 0) {
       ++dropped;
     } else {
@@ -511,21 +690,29 @@ void OnlineRsrChecker::ResetAndReplay() {
   memo_.Clear();
   executed_count_ = 0;
   feed_log_.clear();
+  ResetJournal(true);
+  ReplaySilently();
+}
 
-  // Silent replay of the survivors: no trace events, and rejections()
-  // keeps its pre-abort value (the replay cannot reject — see below).
+void OnlineRsrChecker::ReplaySilently() {
+  // No trace events, and the decision/arc counters keep their pre-abort
+  // values: the replay restores state, it admits nothing new.
   Tracer* const saved_tracer = tracer_;
   tracer_ = nullptr;
   const std::size_t saved_rejections = rejections_;
+  const std::size_t saved_submitted = arcs_submitted_;
+  const std::size_t saved_inserted = arcs_inserted_total_;
   for (const std::size_t gid : replay_feed_) {
     // Every survivor re-admits: the replayed prefix's RSG is a subgraph
     // of the original graph restricted to survivors (conflict frontiers
     // and ancestor maxima can only shrink when operations disappear),
     // and a subgraph of an acyclic graph is acyclic.
-    RELSER_CHECK_MSG(TryAppend(txns_.OpByGlobalId(gid)).ok(),
+    RELSER_CHECK_MSG(TryAppend(indexer_.Op(gid)).ok(),
                      "surviving feed must replay cleanly after an abort");
   }
   rejections_ = saved_rejections;
+  arcs_submitted_ = saved_submitted;
+  arcs_inserted_total_ = saved_inserted;
   tracer_ = saved_tracer;
 }
 

@@ -26,10 +26,13 @@
 // the ancestor arrays are rebuilt as a sound over-approximation (see
 // RemoveTransaction below), mirroring the baseline's documented
 // post-abort behavior. RemoveTransactionExact is the exact one the
-// admitter's abort/cascade machinery uses: it replays the
-// surviving feed through a full reset, so the post-abort state is
-// bit-identical (StateDigest) to a checker that never saw the aborted
-// transaction — differentially tested by tests/fault_test.cc.
+// admitter's abort/cascade machinery uses: the post-abort state is
+// bit-identical (StateDigest, and the topological order) to a checker
+// that never saw the aborted transaction — differentially tested by
+// tests/fault_test.cc. It rolls an undo journal of accepted appends back
+// to the victim's first admission and silently re-admits the surviving
+// suffix, so it costs time in proportion to the ops admitted since then
+// (docs/hotpath.md, abort section).
 //
 // Decisions are reported as AdmitResult (core/admit.h): kAccept commits
 // the arcs, kReject leaves the state unchanged and carries the
@@ -40,6 +43,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "core/admit.h"
@@ -48,6 +52,7 @@
 #include "model/schedule.h"
 #include "spec/atomicity_spec.h"
 #include "util/flat_map.h"
+#include "util/undo_log.h"
 
 namespace relser {
 
@@ -95,30 +100,48 @@ class OnlineRsrChecker {
   /// ancestors. Post-abort admission is therefore a sound
   /// over-approximation (may reject a schedule the full graph would
   /// accept, never the converse), matching the baseline's stale-bit
-  /// behavior in spirit; docs/hotpath.md gives the argument.
+  /// behavior in spirit; docs/hotpath.md gives the argument. It edits
+  /// state the exact-abort journal cannot undo, so it switches the
+  /// journal off: a later RemoveTransactionExact takes the full replay,
+  /// which restores exactness and restarts the journal.
   void RemoveTransaction(TxnId txn);
 
   /// Exact abort: forgets every fed operation of `txn` and restores the
   /// checker to the state of a fresh checker fed the surviving feed (the
   /// accepted operations, in their original admission order, minus
-  /// `txn`'s). Implemented as a full internal reset plus a silent replay
-  /// of the survivors — every surviving operation re-admits, because the
-  /// survivor-restricted RSG is a subgraph of the original acyclic
-  /// graph. O(history) instead of RemoveTransaction's O(touched), but
-  /// bit-identical (StateDigest) to recompute-from-scratch: no
+  /// `txn`'s): bit-identical StateDigest and topological order — no
   /// over-approximation, no stale safe bits, no widened memos. This is
-  /// the abort path the admitter uses, so repeated abort/cascade
-  /// storms cannot accumulate conservatism. Counters: rejections() is
-  /// preserved; arcs_submitted()/arcs_inserted_total() keep counting
-  /// through the replay (they meter topology traffic, which the replay
-  /// genuinely performs).
+  /// the abort path the admitter uses, so repeated abort/cascade storms
+  /// cannot accumulate conservatism.
+  ///
+  /// Cost. Every accepted append is journaled (memo upserts, cleared safe
+  /// bits and flags, pool-row acquire/release, frontier changes, object
+  /// creation, executed/feed bookkeeping, and the topology's edges and
+  /// Pearce-Kelly moves). The journal starts at the first feed position
+  /// whose transaction is still incomplete; the nonzero entries of rows
+  /// released after that point are held until the start moves past them.
+  /// A budget of 32 entries per operation of the transaction set (at
+  /// least 2^14) caps it: past that, the start moves on regardless. When
+  /// the victim's first operation lies inside the journal, the abort
+  /// undoes the appends back to that position and silently re-admits the
+  /// surviving suffix: O(ops admitted since the victim's first op).
+  /// Otherwise (a victim older than the journal start, or any abort
+  /// after the approximate RemoveTransaction) it falls back to a full
+  /// reset plus a silent replay of every survivor, which also rebuilds
+  /// the journal. Every survivor re-admits, because the survivor-
+  /// restricted RSG is a subgraph of the original acyclic graph.
+  ///
+  /// Counters: rejections(), arcs_submitted() and arcs_inserted_total()
+  /// do not count the restoration replay, so they read the same whichever
+  /// path ran. An attached tracer records the re-admitted op count and
+  /// whether the full replay ran (Tracer::RecordAbortReplay).
   void RemoveTransactionExact(TxnId txn);
 
   /// Epoch-driven truncation (checkpoint): forgets every fed operation
   /// whose transaction has settled per `settled` (one atomic byte per
   /// transaction, epoch/epoch.h's view; read with relaxed loads). Like
-  /// RemoveTransactionExact this is a full reset plus a silent replay of
-  /// the surviving (unsettled) feed, so the result is bit-identical
+  /// RemoveTransactionExact's fallback this is a full reset plus a silent
+  /// replay of the surviving (unsettled) feed, so the result is bit-identical
   /// (StateDigest) to a fresh checker fed only the survivors. Soundness:
   /// a settled transaction is finished and frontier-unreachable, so (a)
   /// it never appends again — its cleared executed_ bits are never
@@ -181,9 +204,12 @@ class OnlineRsrChecker {
   /// Cycle rejections so far.
   std::size_t rejections() const { return rejections_; }
 
-  /// Cumulative arcs handed to the topology (after frontier pruning).
+  /// Cumulative arcs handed to the topology (after frontier pruning) by
+  /// accepted appends, and of those the arcs actually inserted
+  /// (deduplicated, committed). Like rejections(), neither counts the
+  /// silent replays of RemoveTransactionExact and Truncate; arcs of
+  /// appends later rolled back stay counted.
   std::size_t arcs_submitted() const { return arcs_submitted_; }
-  /// Cumulative arcs actually inserted (deduplicated, committed).
   std::size_t arcs_inserted_total() const { return arcs_inserted_total_; }
 
   /// The maintained graph (for diagnostics / DOT export).
@@ -238,14 +264,69 @@ class OnlineRsrChecker {
   std::uint32_t ObjIndex(ObjectId object);
   std::uint32_t AcquireSlot(std::size_t gid);
   void ReleaseSlotIfAny(std::size_t gid);
+  /// Clears `bit` in flags_[gid] (journaled) and releases its row if no
+  /// retention claim is left.
+  void DropFlag(std::size_t gid, std::uint8_t bit);
+  /// Clears safe_[txn] (journaled).
+  void ClearSafe(TxnId txn);
   /// Shared commit tail of TryAppend / TryAppendIsolated: persists
   /// scratch_anc_ into the slot pool and updates retention flags, the
-  /// object frontier, reverse indices and executed bookkeeping.
+  /// object frontier, reverse indices and executed bookkeeping. `obj_idx`
+  /// is kNoObj when the object has no state yet.
   void CommitOp(const Operation& op, std::size_t gid, std::uint32_t obj_idx);
   /// Re-flags `gid` as frontier; if its ancestor array was released,
   /// resurrects it from the newest retained array of its transaction.
   void RetainFrontier(std::size_t gid);
   void RebuildFrontier(ObjState& state);
+
+  // ---- Undo journal (RemoveTransactionExact's rollback path) ----
+  // records_ holds one record per feed position in [records_.begin(),
+  // feed_log_.size()); a record's absolute log position IS its feed
+  // position. The other logs hold the changes of those appends, newest
+  // last; each record marks where its append's entries begin.
+  struct AppendRecord {
+    std::size_t gid = 0;
+    std::size_t old_last_writer = kNoGid;  // writes: frontier writer replaced
+    std::size_t change_mark = 0;           // changes_.end() before the append
+    std::size_t held_mark = 0;             // held_rows_.end() before it
+    std::size_t memo_mark = 0;             // memo_undo_.end() before it
+    std::size_t topo_mark = 0;             // topo_.JournalEnd() before it
+    std::uint32_t obj_idx = 0;
+    bool obj_created = false;
+  };
+  enum class ChangeKind : std::uint8_t {
+    kFlags,    // flags_[id] was `value`
+    kRelease,  // gid `id`'s row released; its `value` nonzero entries
+               // are the newest held_rows_ pairs
+    kSafe,     // safe_[id] was 1
+    kReader,   // gid `id` was a frontier reader of the record's object
+  };
+  struct Change {
+    std::size_t id;
+    std::uint32_t value;
+    ChangeKind kind;
+  };
+  struct MemoUndo {
+    std::uint64_t key;
+    MemoEntry old;
+    bool existed;
+  };
+  static constexpr std::uint32_t kNoObj = ~static_cast<std::uint32_t>(0);
+
+  /// Starts the record of the append about to run (captures the marks).
+  void OpenRecord();
+  /// Drops the records at the journal's start while their transaction is
+  /// complete or the journal is over journal_budget_.
+  void TrimJournal();
+  /// Undoes the appends at feed positions >= `pos` (newest first).
+  void RollbackTo(std::size_t pos);
+  void UndoAppend(const AppendRecord& record);
+  /// Forgets the journal and switches journaling on or off (off: the
+  /// approximate RemoveTransaction edits state the journal cannot undo;
+  /// ResetAndReplay switches it back on).
+  void ResetJournal(bool on);
+  /// Re-admits replay_feed_ with tracing off and the counters held.
+  void ReplaySilently();
 
   const TransactionSet& txns_;
   const AtomicitySpec& spec_;
@@ -287,10 +368,24 @@ class OnlineRsrChecker {
   std::vector<NodeId> bypass_in_;           // RemoveTransaction scratch
   std::vector<NodeId> bypass_out_;
   std::vector<std::size_t> feed_log_;     // accepted gids, admission order
-  std::vector<std::size_t> replay_feed_;  // reset-and-replay scratch
+  std::vector<std::size_t> replay_feed_;  // abort/truncate replay scratch
+  std::vector<std::size_t> first_pos_;    // txn -> feed position of op 0
 
-  /// Shared tail of RemoveTransactionExact / Truncate: resets every
-  /// piece of admission state and silently replays `replay_feed_`.
+  UndoLog<AppendRecord> records_;
+  UndoLog<Change> changes_;
+  UndoLog<std::pair<std::uint32_t, std::uint32_t>> held_rows_;  // (txn, v)
+  UndoLog<MemoUndo> memo_undo_;
+  AppendRecord open_record_;
+  bool journal_on_ = true;
+  // Cap on journal entries (all logs together), past which the oldest
+  // records are dropped even if their transaction is incomplete.
+  static constexpr std::size_t kJournalEntriesPerOp = 32;
+  static constexpr std::size_t kMinJournalEntries = std::size_t{1} << 14;
+  std::size_t journal_budget_;
+
+  /// Full-reset path shared by RemoveTransactionExact's fallback and
+  /// Truncate: resets every piece of admission state (journal included)
+  /// and silently replays `replay_feed_`.
   void ResetAndReplay();
 
   std::size_t executed_count_ = 0;

@@ -161,10 +161,8 @@ AdmitResult SoaRsrChecker::TryAppend(const Operation& op) {
     const std::uint32_t pred_slot = slot_of_[pred];
     RELSER_DCHECK(pred_slot != kNoSlot);
     MergeRowMax(pred_slot);
-    const TxnId pred_txn = indexer_.TxnOf(pred);
-    const std::uint32_t pred_index =
-        static_cast<std::uint32_t>(pred - indexer_.TxnBegin(pred_txn));
-    RaiseLane(pred_txn, pred_index + 1);
+    const Operation& pred_op = indexer_.Op(pred);
+    RaiseLane(pred_op.txn, pred_op.index + 1);
   }
 
   // F/B arcs, memoized per (ancestor txn, this txn). Iterating the set
@@ -217,8 +215,8 @@ AdmitResult SoaRsrChecker::TryAppend(const Operation& op) {
     ArcWitness witness;
     witness.valid = true;
     const auto [bad_from, bad_to] = topo_.last_rejected_edge();
-    witness.from = txns_.OpByGlobalId(bad_from);
-    witness.to = txns_.OpByGlobalId(bad_to);
+    witness.from = indexer_.Op(bad_from);
+    witness.to = indexer_.Op(bad_to);
     for (std::size_t a = 0; a < arc_buf_.size(); ++a) {
       if (arc_buf_[a].first == bad_from && arc_buf_[a].second == bad_to) {
         witness.arc_kinds = arc_kind_buf_[a];
@@ -245,8 +243,8 @@ AdmitResult SoaRsrChecker::TryAppend(const Operation& op) {
     if (tracing) {
       for (std::size_t a = 0; a < arc_buf_.size(); ++a) {
         tracer_->RecordArc(arc_kind_buf_[a],
-                           txns_.OpByGlobalId(arc_buf_[a].first),
-                           txns_.OpByGlobalId(arc_buf_[a].second),
+                           indexer_.Op(arc_buf_[a].first),
+                           indexer_.Op(arc_buf_[a].second),
                            tracer_->tick());
       }
     }
@@ -337,7 +335,7 @@ AdmitResult SoaRsrChecker::TryAppendIsolated(const Operation& op) {
                                : 0,
                            0);
       if (tracer_->events_on()) {
-        tracer_->RecordArc(kInternalArc, txns_.OpByGlobalId(gid - 1), op,
+        tracer_->RecordArc(kInternalArc, indexer_.Op(gid - 1), op,
                            tracer_->tick());
       }
     }
@@ -452,16 +450,21 @@ void SoaRsrChecker::ResetAndReplay() {
   feed_log_.clear();
 
   // Silent replay of the survivors: no trace events, and rejections()
-  // keeps its pre-abort value (the replay cannot reject — the survivor-
-  // restricted RSG is a subgraph of the original acyclic graph).
+  // and the arc counters keep their pre-abort values, as in
+  // OnlineRsrChecker (the replay cannot reject — the survivor-restricted
+  // RSG is a subgraph of the original acyclic graph).
   Tracer* const saved_tracer = tracer_;
   tracer_ = nullptr;
   const std::size_t saved_rejections = rejections_;
+  const std::size_t saved_submitted = arcs_submitted_;
+  const std::size_t saved_inserted = arcs_inserted_total_;
   for (const std::size_t gid : replay_feed_) {
-    RELSER_CHECK_MSG(TryAppend(txns_.OpByGlobalId(gid)).ok(),
+    RELSER_CHECK_MSG(TryAppend(indexer_.Op(gid)).ok(),
                      "surviving feed must replay cleanly after an abort");
   }
   rejections_ = saved_rejections;
+  arcs_submitted_ = saved_submitted;
+  arcs_inserted_total_ = saved_inserted;
   tracer_ = saved_tracer;
 }
 

@@ -29,8 +29,9 @@
 //    reader-gid/reader-txn arrays — so the frontier scan touches no
 //    Operation records.
 //
-// Aborts: RemoveTransactionExact (reset + survivor replay, exactly as
-// OnlineRsrChecker's) is supported; the incremental over-approximating
+// Aborts: RemoveTransactionExact (reset + survivor replay: the state
+// OnlineRsrChecker's journal rollback restores, reached the slow way) is
+// supported; the incremental over-approximating
 // RemoveTransaction is not — callers that need it keep using
 // OnlineRsrChecker.
 #ifndef RELSER_CORE_SOA_HOTPATH_H_
@@ -77,7 +78,8 @@ class SoaRsrChecker {
   bool TxnIsolated(TxnId txn) const { return !taint_.Test(txn); }
 
   /// Exact abort: resets every column and silently replays the surviving
-  /// feed, identically to OnlineRsrChecker::RemoveTransactionExact.
+  /// feed, reaching the same state (decisions, witnesses, counters) as
+  /// OnlineRsrChecker::RemoveTransactionExact.
   void RemoveTransactionExact(TxnId txn);
 
   /// Epoch-driven truncation: drops every fed operation whose
@@ -128,6 +130,8 @@ class SoaRsrChecker {
 
   std::size_t executed_count() const { return executed_count_; }
   std::size_t rejections() const { return rejections_; }
+  /// Arc counters of accepted appends; like rejections(), they do not
+  /// count abort/truncate replays (OnlineRsrChecker's semantics).
   std::size_t arcs_submitted() const { return arcs_submitted_; }
   std::size_t arcs_inserted_total() const { return arcs_inserted_total_; }
 

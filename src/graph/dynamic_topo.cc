@@ -43,6 +43,7 @@ IncrementalTopology::AddResult IncrementalTopology::AddEdge(NodeId from,
   if (lower > upper) {
     // Order already consistent with the new edge.
     graph_.AddEdge(from, to);
+    if (journaling_) LogEdge(from, to);
     return AddResult::kInserted;
   }
   // Affected region is [lower, upper]; discover it.
@@ -58,12 +59,18 @@ IncrementalTopology::AddResult IncrementalTopology::AddEdge(NodeId from,
   Reorder();
   ++reorder_count_;
   graph_.AddEdge(from, to);
+  if (journaling_) LogEdge(from, to);
   return AddResult::kInserted;
 }
 
 bool IncrementalTopology::AddEdges(
     const std::vector<std::pair<NodeId, NodeId>>& arcs) {
-  rollback_.clear();
+  // The journal doubles as this call's rollback log: edges and position
+  // moves are logged even when the caller does not journal, and dropped
+  // again on success in that case.
+  const std::size_t mark = journal_.end();
+  const bool caller_journaling = journaling_;
+  journaling_ = true;
   deferred_.clear();
   // Pass 1: arcs the current order already agrees with never trigger a
   // repair; inserting them first keeps the repair regions of pass 2 small.
@@ -72,31 +79,36 @@ bool IncrementalTopology::AddEdges(
   for (std::size_t i = 0; i < arcs.size(); ++i) {
     const auto& [from, to] = arcs[i];
     if (from != to && position_[from] < position_[to]) {
-      if (graph_.AddEdge(from, to)) {
-        rollback_.emplace_back(from, to);
-      }
+      if (graph_.AddEdge(from, to)) LogEdge(from, to);
     } else {
       deferred_.push_back(i);
     }
   }
+  bool accepted = true;
   for (const std::size_t i : deferred_) {
-    const auto& [from, to] = arcs[i];
-    switch (AddEdge(from, to)) {
-      case AddResult::kInserted:
-        rollback_.emplace_back(from, to);
-        break;
-      case AddResult::kDuplicate:
-        break;
-      case AddResult::kCycle:
-        // All-or-nothing: unwind everything this call inserted. Removal
-        // never invalidates the maintained order, so no repair is needed.
-        for (auto it = rollback_.rbegin(); it != rollback_.rend(); ++it) {
-          graph_.RemoveEdge(it->first, it->second);
-        }
-        return false;
+    if (AddEdge(arcs[i].first, arcs[i].second) == AddResult::kCycle) {
+      // All-or-nothing: unwind every edge and position move of this call.
+      RollbackTo(mark);
+      accepted = false;
+      break;
     }
   }
-  return true;
+  journaling_ = caller_journaling;
+  if (!journaling_) journal_.Reset(mark);
+  return accepted;
+}
+
+void IncrementalTopology::RollbackTo(std::size_t mark) {
+  while (journal_.end() > mark) {
+    const JournalEntry& entry = journal_.back();
+    if ((entry.value & kEdgeTag) != 0) {
+      graph_.RemoveEdge(entry.node, entry.value & ~kEdgeTag);
+    } else {
+      position_[entry.node] = entry.value;
+      order_[entry.value] = entry.node;
+    }
+    journal_.pop_back();
+  }
 }
 
 bool IncrementalTopology::WouldCreateCycle(NodeId from, NodeId to) const {
@@ -178,16 +190,17 @@ void IncrementalTopology::Reorder() {
   std::sort(pool_.begin(), pool_.end());
 
   std::size_t slot = 0;
-  for (const NodeId node : delta_backward_) {
-    position_[node] = pool_[slot];
-    order_[pool_[slot]] = node;
-    ++slot;
-  }
-  for (const NodeId node : delta_forward_) {
-    position_[node] = pool_[slot];
-    order_[pool_[slot]] = node;
-    ++slot;
-  }
+  const auto place = [&](NodeId node) {
+    const std::size_t target = pool_[slot++];
+    if (position_[node] == target) return;
+    // Moves are undone newest-first, so restoring every logged node's old
+    // position also restores order_ over the pooled positions.
+    if (journaling_) journal_.push_back({node, position_[node]});
+    position_[node] = target;
+    order_[target] = node;
+  };
+  for (const NodeId node : delta_backward_) place(node);
+  for (const NodeId node : delta_forward_) place(node);
 }
 
 void IncrementalTopology::IsolateNode(NodeId node) {

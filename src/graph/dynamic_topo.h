@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "graph/digraph.h"
+#include "util/undo_log.h"
 
 namespace relser {
 
@@ -53,11 +54,13 @@ class IncrementalTopology {
 
   /// Attempts to insert a batch of arcs atomically. Returns true when the
   /// whole batch is in (duplicates are fine); when any arc would close a
-  /// cycle, every arc inserted by this call is rolled back via the
-  /// internal rollback log and false is returned. Because the outcome
-  /// depends only on whether graph ∪ batch is acyclic, the result is
-  /// independent of arc order; order-consistent arcs are inserted first so
-  /// the Pearce-Kelly repair regions of the remaining arcs stay small.
+  /// cycle, every arc inserted by this call is removed, every position
+  /// its repairs moved is restored, and false is returned: a rejected
+  /// batch leaves the graph *and the order* exactly as they were.
+  /// Because the outcome depends only on whether graph ∪ batch is
+  /// acyclic, the result is independent of arc order; order-consistent
+  /// arcs are inserted first so the Pearce-Kelly repair regions of the
+  /// remaining arcs stay small.
   /// This is the shared replacement for the per-caller "insert one edge at
   /// a time and unwind on failure" helpers the schedulers used to carry.
   bool AddEdges(const std::vector<std::pair<NodeId, NodeId>>& arcs);
@@ -71,6 +74,25 @@ class IncrementalTopology {
   bool RemoveEdge(NodeId from, NodeId to) {
     return graph_.RemoveEdge(from, to);
   }
+
+  /// Undo journal (the exact-abort rollback of core/online.h). While
+  /// journaling is on, every edge AddEdge/AddEdges insert and every
+  /// position a Pearce-Kelly repair moves is logged, and RollbackTo(mark)
+  /// undoes the entries from `mark` on: the edge set and the order return
+  /// to exactly what they were when JournalEnd() returned `mark`. Edge
+  /// removals (RemoveEdge, IsolateNode) are not journaled, so a caller
+  /// that removes edges must switch journaling off first (which also
+  /// forgets every entry). Off by default.
+  void set_journaling(bool on) {
+    journaling_ = on;
+    journal_.Reset(journal_.end());
+  }
+  std::size_t JournalEnd() const { return journal_.end(); }
+  /// Entries currently journaled (between ForgetBefore and JournalEnd).
+  std::size_t JournalSize() const { return journal_.size(); }
+  void RollbackTo(std::size_t mark);
+  /// Forgets the entries before `mark`; no later rollback may reach them.
+  void ForgetBefore(std::size_t mark) { journal_.DropBefore(mark); }
 
   /// True iff the edge would close a cycle, *without* inserting it.
   bool WouldCreateCycle(NodeId from, NodeId to) const;
@@ -120,8 +142,20 @@ class IncrementalTopology {
   std::vector<NodeId> delta_backward_;
   std::vector<NodeId> stack_;                       // DFS scratch
   std::vector<std::size_t> pool_;                   // Reorder scratch
-  std::vector<std::pair<NodeId, NodeId>> rollback_;  // AddEdges undo log
   std::vector<std::size_t> deferred_;                // AddEdges pass-2 arcs
+  // Undo journal; AddEdges also uses it as its own rollback log. An entry
+  // is an inserted edge `node -> (value & ~kEdgeTag)`, or a repair move:
+  // `node` was at position `value`.
+  struct JournalEntry {
+    NodeId node;
+    std::size_t value;
+  };
+  static constexpr std::size_t kEdgeTag = std::size_t{1} << 63;
+  void LogEdge(NodeId from, NodeId to) {
+    journal_.push_back({from, to | kEdgeTag});
+  }
+  UndoLog<JournalEntry> journal_;
+  bool journaling_ = false;
   // WouldCreateCycle scratch: generation stamps avoid a per-probe clear.
   mutable std::vector<std::uint64_t> probe_stamp_;
   mutable std::vector<NodeId> probe_stack_;

@@ -1,13 +1,14 @@
 // OpIndexer: O(1) mapping between operations and dense global op ids.
 //
-// TransactionSet::GlobalOpId revalidates its prefix sums on every call so
-// it stays correct while transactions are still being built; analysis hot
-// paths (RSG construction touches O(n^2) pairs) instead snapshot the
-// numbering once with an OpIndexer.
+// TransactionSet::GlobalOpId and OpByGlobalId rebuild their prefix sums
+// on every call so they stay correct while transactions are still being
+// built. Hot paths (RSG construction touches O(n^2) pairs, the online
+// certifiers resolve several gids per admitted operation) instead
+// snapshot the numbering once with an OpIndexer: GlobalId is one add,
+// and Op/TxnOf are one load from a flat gid -> operation table.
 #ifndef RELSER_MODEL_OP_INDEXER_H_
 #define RELSER_MODEL_OP_INDEXER_H_
 
-#include <algorithm>
 #include <vector>
 
 #include "model/transaction.h"
@@ -24,6 +25,10 @@ class OpIndexer {
     for (const Transaction& txn : txns.txns()) {
       offsets_.push_back(offsets_.back() + txn.size());
     }
+    ops_.reserve(offsets_.back());
+    for (const Transaction& txn : txns.txns()) {
+      for (const Operation& op : txn.ops()) ops_.push_back(&op);
+    }
   }
 
   /// Global id of o_{txn,index}.
@@ -36,12 +41,14 @@ class OpIndexer {
     return GlobalId(op.txn, op.index);
   }
 
-  /// Transaction owning global id `gid` (binary search over offsets).
-  TxnId TxnOf(std::size_t gid) const {
-    RELSER_DCHECK(gid < offsets_.back());
-    const auto it = std::upper_bound(offsets_.begin(), offsets_.end(), gid);
-    return static_cast<TxnId>(it - offsets_.begin() - 1);
+  /// The operation with global id `gid` (the inverse of GlobalId).
+  const Operation& Op(std::size_t gid) const {
+    RELSER_DCHECK(gid < ops_.size());
+    return *ops_[gid];
   }
+
+  /// Transaction owning global id `gid`.
+  TxnId TxnOf(std::size_t gid) const { return Op(gid).txn; }
 
   /// First global id of transaction `txn`.
   std::size_t TxnBegin(TxnId txn) const { return offsets_[txn]; }
@@ -53,6 +60,7 @@ class OpIndexer {
 
  private:
   std::vector<std::size_t> offsets_;
+  std::vector<const Operation*> ops_;  // gid -> operation in the set
 };
 
 }  // namespace relser

@@ -5,7 +5,6 @@
 namespace relser {
 
 Transaction* TransactionSet::AddTransaction() {
-  offsets_stale_ = true;
   const auto id = static_cast<TxnId>(txns_.size());
   txns_.emplace_back(id);
   return &txns_.back();
@@ -35,24 +34,20 @@ ObjectId TransactionSet::AddObjects(std::size_t count) {
 }
 
 std::size_t TransactionSet::total_ops() const {
-  RebuildOffsetsIfStale();
-  return offsets_.empty() ? 0 : offsets_.back();
+  RebuildOffsets();
+  return offsets_.back();
 }
 
-void TransactionSet::RebuildOffsetsIfStale() const {
+void TransactionSet::RebuildOffsets() const {
   // offsets_[i] = first global id of txn i; offsets_.back() = total ops.
-  // Rebuild unconditionally when marked stale *or* when any transaction
-  // grew since the last rebuild (ops appended through AddTransaction's
-  // pointer do not flip the flag).
   offsets_.assign(txns_.size() + 1, 0);
   for (std::size_t i = 0; i < txns_.size(); ++i) {
     offsets_[i + 1] = offsets_[i] + txns_[i].size();
   }
-  offsets_stale_ = false;
 }
 
 std::size_t TransactionSet::GlobalOpId(TxnId txn, std::uint32_t index) const {
-  RebuildOffsetsIfStale();
+  RebuildOffsets();
   RELSER_CHECK(txn < txns_.size());
   RELSER_CHECK_MSG(index < txns_[txn].size(),
                    "op index " << index << " out of range for T" << txn + 1);
@@ -60,8 +55,8 @@ std::size_t TransactionSet::GlobalOpId(TxnId txn, std::uint32_t index) const {
 }
 
 const Operation& TransactionSet::OpByGlobalId(std::size_t global_id) const {
-  RebuildOffsetsIfStale();
-  RELSER_CHECK_MSG(global_id < total_ops(),
+  RebuildOffsets();
+  RELSER_CHECK_MSG(global_id < offsets_.back(),
                    "global op id " << global_id << " out of range");
   // Binary search over prefix sums.
   std::size_t lo = 0;

@@ -97,7 +97,9 @@ class TransactionSet {
     return GlobalOpId(op.txn, op.index);
   }
 
-  /// Inverse of GlobalOpId.
+  /// Inverse of GlobalOpId. Like GlobalOpId it rebuilds the prefix sums
+  /// on every call (O(txn_count)), so it stays correct while the set is
+  /// still being built; per-operation hot paths use OpIndexer::Op.
   const Operation& OpByGlobalId(std::size_t global_id) const;
 
   /// Validates internal consistency (op indices consecutive, objects
@@ -105,15 +107,16 @@ class TransactionSet {
   Status Validate() const;
 
  private:
-  void RebuildOffsetsIfStale() const;
+  void RebuildOffsets() const;
 
   std::deque<Transaction> txns_;
   std::vector<std::string> object_names_;
   std::unordered_map<std::string, ObjectId> object_ids_;
 
-  // Prefix sums of transaction sizes for GlobalOpId; rebuilt lazily.
+  // Prefix sums of transaction sizes for GlobalOpId / OpByGlobalId,
+  // rebuilt on every call: ops appended through AddTransaction's pointer
+  // are invisible to the set, so no cached copy could be trusted.
   mutable std::vector<std::size_t> offsets_;
-  mutable bool offsets_stale_ = true;
 };
 
 }  // namespace relser

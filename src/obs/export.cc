@@ -24,14 +24,17 @@ bool IsTxnLevel(TraceEventKind kind) {
          kind == TraceEventKind::kCoordinatorReject;
 }
 
-// Epoch-GC events concern no transaction (txn is emitted as 0, meaning
-// "none") and carry the reclaimed quantity in `count`.
-bool IsEpochGcKind(TraceEventKind kind) {
+// Process-level events (epoch GC, exact-abort replays) concern no
+// transaction (txn is emitted as 0, meaning "none"); all but router_swap
+// carry a quantity in `count`.
+bool IsProcessKind(TraceEventKind kind) {
   return kind == TraceEventKind::kEpochAdvance ||
          kind == TraceEventKind::kArcGc ||
          kind == TraceEventKind::kVersionPrune ||
          kind == TraceEventKind::kCheckpoint ||
-         kind == TraceEventKind::kRouterSwap;
+         kind == TraceEventKind::kRouterSwap ||
+         kind == TraceEventKind::kAbortReplay ||
+         kind == TraceEventKind::kAbortFullReplay;
 }
 
 bool HasCause(const TraceEvent& event) {
@@ -160,10 +163,11 @@ std::string TraceToJsonl(const Tracer& tracer, const TransactionSet& txns,
     json.Key("kind");
     json.String(TraceEventKindName(event.kind));
     json.Key("txn");
-    // Printed 1-based, like the paper's T1; epoch-GC events concern no
-    // transaction and print 0.
-    json.Uint(IsEpochGcKind(event.kind) ? 0 : event.txn + 1);
-    if (IsEpochGcKind(event.kind) && event.kind != TraceEventKind::kRouterSwap) {
+    // Printed 1-based, like the paper's T1; process-level events concern
+    // no transaction and print 0.
+    json.Uint(IsProcessKind(event.kind) ? 0 : event.txn + 1);
+    if (IsProcessKind(event.kind) &&
+        event.kind != TraceEventKind::kRouterSwap) {
       json.Key("count");
       json.Uint(event.count);
     }

@@ -26,12 +26,14 @@ bool IsDecisionKind(const std::string& kind) {
   return kind == "admit" || kind == "delay" || kind == "reject";
 }
 
-// Epoch-GC events are transaction-free and informational; all but
-// router_swap carry the reclaimed quantity in "count".
-bool IsEpochGcKind(const std::string& kind) {
+// Process-level events (epoch GC, exact-abort replays) are
+// transaction-free and informational; all but router_swap carry a
+// quantity in "count".
+bool IsProcessKind(const std::string& kind) {
   return kind == "epoch_advance" || kind == "arc_gc" ||
          kind == "version_prune" || kind == "checkpoint" ||
-         kind == "router_swap";
+         kind == "router_swap" || kind == "abort_replay" ||
+         kind == "abort_full_replay";
 }
 
 bool HasNumber(const JsonValue& obj, const char* key) {
@@ -72,7 +74,7 @@ std::string CheckEvent(const JsonValue& event) {
   if (IsDecisionKind(kind) && !HasNumber(event, "latency_ns")) {
     return kind + " event missing \"latency_ns\"";
   }
-  if (IsEpochGcKind(kind) && kind != "router_swap" &&
+  if (IsProcessKind(kind) && kind != "router_swap" &&
       !HasNumber(event, "count")) {
     return kind + " event missing numeric \"count\"";
   }
@@ -163,7 +165,8 @@ bool IsKnownTraceEventKind(std::string_view kind) {
          kind == "coordinator_reject" || kind == "snapshot_read" ||
          kind == "epoch_advance" || kind == "arc_gc" ||
          kind == "version_prune" || kind == "checkpoint" ||
-         kind == "router_swap";
+         kind == "router_swap" || kind == "abort_replay" ||
+         kind == "abort_full_replay";
 }
 
 TraceValidation ValidateTraceJsonl(std::string_view content) {
@@ -245,10 +248,15 @@ TraceSummary SummarizeTraceJsonl(std::string_view content) {
     const std::string kind = Str(event, "kind");
     if (kind == "header") return;
     ++summary.events;
-    // Epoch-GC events concern no transaction; tally and move on before
-    // the per-transaction bookkeeping below can invent a phantom row.
-    if (IsEpochGcKind(kind)) {
-      if (kind == "epoch_advance") {
+    // Process-level events concern no transaction; tally and move on
+    // before the per-transaction bookkeeping below can invent a phantom
+    // row.
+    if (IsProcessKind(kind)) {
+      if (kind == "abort_replay" || kind == "abort_full_replay") {
+        ++summary.abort_replays;
+        summary.abort_replayed_ops += U64(event, "count");
+        if (kind == "abort_full_replay") ++summary.abort_full_replays;
+      } else if (kind == "epoch_advance") {
         ++summary.epochs_advanced;
       } else if (kind == "arc_gc") {
         summary.arcs_gcd += U64(event, "count");
@@ -409,6 +417,13 @@ std::string RenderTraceSummary(const TraceSummary& summary) {
            " versions pruned, " + std::to_string(summary.checkpoints) +
            " checkpoints, " + std::to_string(summary.router_swaps) +
            " router swaps\n";
+  }
+
+  if (summary.abort_replays > 0) {
+    out += "exact aborts: " + std::to_string(summary.abort_replays) +
+           " restored, " + std::to_string(summary.abort_replayed_ops) +
+           " ops re-admitted, " + std::to_string(summary.abort_full_replays) +
+           " full replays\n";
   }
 
   out += "\ntop blocking causes:\n";

@@ -94,6 +94,12 @@ struct TraceSummary {
   std::uint64_t versions_pruned = 0;
   std::uint64_t checkpoints = 0;
   std::uint64_t router_swaps = 0;
+  // Exact-abort restoration (abort_replay / abort_full_replay events):
+  // aborts restored, surviving ops they re-admitted, and how many took
+  // the full-replay fallback.
+  std::uint64_t abort_replays = 0;
+  std::uint64_t abort_replayed_ops = 0;
+  std::uint64_t abort_full_replays = 0;
   std::vector<BlockingCauseStat> top_blocking;  ///< most-cited first
   std::vector<OpWaitStat> longest_delayed;      ///< largest wait first
   std::vector<TxnWaitStat> per_txn;             ///< by transaction id

@@ -28,6 +28,8 @@ const char* TraceEventKindName(TraceEventKind kind) {
     case TraceEventKind::kVersionPrune: return "version_prune";
     case TraceEventKind::kCheckpoint: return "checkpoint";
     case TraceEventKind::kRouterSwap: return "router_swap";
+    case TraceEventKind::kAbortReplay: return "abort_replay";
+    case TraceEventKind::kAbortFullReplay: return "abort_full_replay";
   }
   return "?";
 }
@@ -359,6 +361,21 @@ void Tracer::RecordRouterSwap(std::uint64_t tick) {
   events_.push_back(std::move(event));
 }
 
+void Tracer::RecordAbortReplay(std::uint64_t replayed, bool full,
+                               std::uint64_t tick) {
+  if (!counting()) return;
+  counters_.abort_replayed_ops += replayed;
+  if (full) ++counters_.abort_full_replays;
+  if (!events_on()) return;
+  TraceEvent event;
+  event.seq = next_seq_++;
+  event.tick = tick;
+  event.kind = full ? TraceEventKind::kAbortFullReplay
+                    : TraceEventKind::kAbortReplay;
+  event.count = replayed;
+  events_.push_back(std::move(event));
+}
+
 void Tracer::AddRetries(std::uint64_t retries) {
   if (!counting()) return;
   counters_.retries += retries;
@@ -397,6 +414,8 @@ void Tracer::MergeFrom(const Tracer& other) {
   counters_.versions_pruned += c.versions_pruned;
   counters_.checkpoints += c.checkpoints;
   counters_.router_swaps += c.router_swaps;
+  counters_.abort_replayed_ops += c.abort_replayed_ops;
+  counters_.abort_full_replays += c.abort_full_replays;
   admit_latency_.MergeFrom(other.admit_latency_);
   batch_size_.MergeFrom(other.batch_size_);
   if (events_on()) {
@@ -505,6 +524,10 @@ std::string SnapshotToJson(const TraceSnapshot& snapshot) {
   json.Uint(snapshot.counters.checkpoints);
   json.Key("router_swaps");
   json.Uint(snapshot.counters.router_swaps);
+  json.Key("abort_replayed_ops");
+  json.Uint(snapshot.counters.abort_replayed_ops);
+  json.Key("abort_full_replays");
+  json.Uint(snapshot.counters.abort_full_replays);
   json.Key("batch_size_p50");
   json.Double(snapshot.batch_size_p50);
   json.Key("batch_size_p99");

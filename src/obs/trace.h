@@ -78,6 +78,11 @@ enum class TraceEventKind : std::uint8_t {
   kVersionPrune,   ///< version store pruned `count` dominated versions
   kCheckpoint,     ///< a checker truncated `count` settled feed entries
   kRouterSwap,     ///< a new ShardRouter was installed at a quiescent cut
+  // Exact-abort restoration (core/online.h RemoveTransactionExact).
+  // Transaction-free and informational like the epoch-GC kinds; `count`
+  // is the number of surviving operations silently re-admitted.
+  kAbortReplay,      ///< journal rollback to the victim's first admission
+  kAbortFullReplay,  ///< full reset plus replay of every survivor
 };
 
 /// Stable lowercase name ("admit", "delay", ...).
@@ -186,6 +191,12 @@ struct TraceCounters {
   std::uint64_t versions_pruned = 0;
   std::uint64_t checkpoints = 0;
   std::uint64_t router_swaps = 0;
+  // Exact-abort restoration (core/online.h): surviving operations
+  // silently re-admitted by RemoveTransactionExact, and how many of those
+  // aborts took the full reset-and-replay fallback instead of the
+  // journal rollback.
+  std::uint64_t abort_replayed_ops = 0;
+  std::uint64_t abort_full_replays = 0;
 };
 
 /// Power-of-two-bucketed latency histogram: bucket b holds samples with
@@ -323,6 +334,13 @@ class Tracer {
   void RecordVersionPrune(std::uint64_t pruned, std::uint64_t tick);
   void RecordCheckpoint(std::uint64_t dropped, std::uint64_t tick);
   void RecordRouterSwap(std::uint64_t tick);
+
+  /// Exact-abort restoration (core/online.h): one RemoveTransactionExact
+  /// re-admitted `replayed` surviving operations, after a journal
+  /// rollback or (`full`) after a full reset. Called by the checker that
+  /// owns the tracer, so the single-writer contract holds.
+  void RecordAbortReplay(std::uint64_t replayed, bool full,
+                         std::uint64_t tick);
 
   /// Folds the client-side backpressure-retry count in. Called once,
   /// after the admission core has quiesced (Stop), to respect the

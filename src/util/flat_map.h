@@ -7,7 +7,8 @@
 // perf-trajectory benches flag. Storage is two parallel vectors (keys,
 // values) with linear probing, power-of-two capacity, and tombstone
 // deletion; growth is the only allocation and is amortized away by
-// Reserve().
+// Reserve(). A table whose load is mostly tombstones is rehashed in place
+// rather than grown.
 #ifndef RELSER_UTIL_FLAT_MAP_H_
 #define RELSER_UTIL_FLAT_MAP_H_
 
@@ -61,7 +62,11 @@ class FlatMap64 {
   std::pair<V*, bool> Upsert(std::uint64_t key) {
     RELSER_DCHECK(key < kTombstoneKey);
     if ((used_ + 1) * 4 > Capacity() * 3) {
-      Rehash(Capacity() < 16 ? 16 : Capacity() * 2);
+      // Tombstones count toward the load factor. When they, rather than
+      // live entries, fill the table, rehash at the same capacity:
+      // doubling would let insert/erase churn grow the table forever.
+      const bool grow = (size_ + 1) * 2 > Capacity();
+      Rehash(Capacity() < 16 ? 16 : grow ? Capacity() * 2 : Capacity());
     }
     std::size_t index = Probe(key);
     std::size_t first_tombstone = kNoSlot;

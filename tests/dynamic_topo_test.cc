@@ -1,6 +1,10 @@
 // Tests for IncrementalTopology (Pearce-Kelly dynamic topological order),
 // including a randomized differential test against the offline cycle
 // detector — the property the online schedulers depend on.
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "graph/cycle.h"
@@ -182,6 +186,57 @@ TEST(AddEdges, RollsBackEverythingOnCycle) {
   // The structure is still usable and consistent after rollback.
   EXPECT_EQ(topo.AddEdge(1, 2), AddResult::kInserted);
   EXPECT_EQ(topo.AddEdge(2, 0), AddResult::kCycle);
+}
+
+// A rejected batch is order-neutral, not just edge-neutral: (2,1) is
+// repaired (moving 1 behind 2) before (1,0) closes the cycle, and the
+// rollback must undo that move too.
+TEST(AddEdges, RejectedBatchRestoresTheOrder) {
+  IncrementalTopology topo(3);
+  EXPECT_FALSE(topo.AddEdges({{2, 1}, {1, 0}, {0, 2}}));
+  EXPECT_EQ(topo.edge_count(), 0u);
+  EXPECT_EQ(topo.Order(), (std::vector<NodeId>{0, 1, 2}));
+}
+
+// The undo journal: rolling back to any earlier mark restores exactly
+// the edge set and the order of that moment, across accepted batches,
+// rejected batches and single-edge inserts.
+TEST(IncrementalTopology, JournalRollbackRestoresEdgesAndOrder) {
+  Rng rng(0x70A1);
+  for (int round = 0; round < 200; ++round) {
+    const std::size_t n = 3 + rng.UniformIndex(10);
+    IncrementalTopology topo(n);
+    topo.set_journaling(true);
+    struct Snapshot {
+      std::size_t mark;
+      std::vector<NodeId> order;
+      std::vector<std::pair<NodeId, NodeId>> edges;
+    };
+    const auto take = [&topo] {
+      Snapshot snap{topo.JournalEnd(), topo.Order(), topo.graph().Edges()};
+      std::sort(snap.edges.begin(), snap.edges.end());
+      return snap;
+    };
+    std::vector<Snapshot> snaps{take()};
+    for (int step = 0; step < 12; ++step) {
+      std::vector<std::pair<NodeId, NodeId>> batch;
+      const std::size_t arcs = 1 + rng.UniformIndex(4);
+      for (std::size_t a = 0; a < arcs; ++a) {
+        batch.emplace_back(rng.UniformIndex(n), rng.UniformIndex(n));
+      }
+      if (batch.size() == 1) {
+        topo.AddEdge(batch[0].first, batch[0].second);
+      } else {
+        topo.AddEdges(batch);
+      }
+      snaps.push_back(take());
+    }
+    const Snapshot& target = snaps[rng.UniformIndex(snaps.size())];
+    topo.RollbackTo(target.mark);
+    const Snapshot now = take();
+    EXPECT_EQ(now.order, target.order) << "round " << round;
+    EXPECT_EQ(now.edges, target.edges) << "round " << round;
+  }
 }
 
 TEST(AddEdges, SelfLoopInBatchRejectsWholeBatch) {

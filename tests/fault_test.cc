@@ -7,6 +7,8 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <deque>
+#include <memory>
 #include <optional>
 #include <thread>
 #include <vector>
@@ -29,25 +31,114 @@
 namespace relser {
 namespace {
 
-// Feeds the checker's surviving feed into a brand-new checker and
-// returns its digest — the ground truth RemoveTransactionExact claims
-// bit-identity with.
+// Feeds the checker's surviving feed into a brand-new checker — the
+// ground truth RemoveTransactionExact claims bit-identity with.
+std::unique_ptr<OnlineRsrChecker> Rebuilt(const TransactionSet& txns,
+                                          const AtomicitySpec& spec,
+                                          const OnlineRsrChecker& checker) {
+  auto rebuilt = std::make_unique<OnlineRsrChecker>(txns, spec);
+  for (const std::size_t gid : checker.feed_log()) {
+    EXPECT_TRUE(rebuilt->TryAppend(txns.OpByGlobalId(gid)).ok())
+        << "surviving feed must replay cleanly";
+  }
+  return rebuilt;
+}
+
 std::uint64_t RebuiltDigest(const TransactionSet& txns,
                             const AtomicitySpec& spec,
                             const OnlineRsrChecker& checker) {
-  OnlineRsrChecker rebuilt(txns, spec);
-  for (const std::size_t gid : checker.feed_log()) {
-    EXPECT_TRUE(rebuilt.TryAppend(txns.OpByGlobalId(gid)).ok())
-        << "surviving feed must replay cleanly";
+  return Rebuilt(txns, spec, checker)->StateDigest();
+}
+
+// After an abort, a rebuilt checker ("shadow") is fed every later
+// operation alongside the real one until the next abort: both must
+// decide alike, and a rejection must name the same witnessing arc.
+class ShadowChecker {
+ public:
+  ShadowChecker(const TransactionSet& txns, const AtomicitySpec& spec)
+      : txns_(txns), spec_(spec) {}
+
+  // Rebuilds the shadow from `checker`'s survivors; the maintained
+  // topological orders must already agree.
+  void Reset(const OnlineRsrChecker& checker, int round) {
+    shadow_ = Rebuilt(txns_, spec_, checker);
+    EXPECT_EQ(checker.topology().Order(), shadow_->topology().Order())
+        << "round " << round;
   }
-  return rebuilt.StateDigest();
+
+  // Mirrors one TryAppend whose result on the real checker was `real`.
+  void Mirror(const Operation& op, const AdmitResult& real, int round) {
+    if (shadow_ == nullptr) return;
+    const AdmitResult mirrored = shadow_->TryAppend(op);
+    ASSERT_EQ(real.ok(), mirrored.ok()) << "round " << round;
+    if (real.ok()) return;
+    EXPECT_EQ(real.witness_arc.from, mirrored.witness_arc.from)
+        << "round " << round;
+    EXPECT_EQ(real.witness_arc.to, mirrored.witness_arc.to)
+        << "round " << round;
+    EXPECT_EQ(real.witness_arc.arc_kinds, mirrored.witness_arc.arc_kinds)
+        << "round " << round;
+  }
+
+ private:
+  const TransactionSet& txns_;
+  const AtomicitySpec& spec_;
+  std::unique_ptr<OnlineRsrChecker> shadow_;
+};
+
+// The paper's Section 5 shape: one audit transaction read-modify-writes
+// `steps` objects with a unit boundary after every step (relative to
+// every other transaction), plus short 2-4-op transfers.
+struct AuditWorkload {
+  TransactionSet txns;
+  AtomicitySpec spec;
+};
+
+std::unique_ptr<AuditWorkload> MakeAuditWorkload(Rng* rng) {
+  auto w = std::make_unique<AuditWorkload>();
+  const std::size_t objects = 6 + rng->UniformIndex(8);
+  const std::size_t steps = 3 + rng->UniformIndex(5);
+  const std::size_t transfers = 10 + rng->UniformIndex(14);
+  w->txns.AddObjects(objects);
+  Transaction* audit = w->txns.AddTransaction();
+  for (std::size_t k = 0; k < steps; ++k) {
+    audit->Read(static_cast<ObjectId>(k % objects));
+    audit->Write(static_cast<ObjectId>(k % objects));
+  }
+  for (std::size_t s = 0; s < transfers; ++s) {
+    Transaction* txn = w->txns.AddTransaction();
+    const auto a = static_cast<ObjectId>(rng->UniformIndex(objects));
+    const auto b = static_cast<ObjectId>(
+        (a + 1 + rng->UniformIndex(objects - 1)) % objects);
+    const std::size_t ops = 2 + rng->UniformIndex(3);
+    for (std::size_t k = 0; k < ops; ++k) {
+      const ObjectId object = k < ops / 2 ? a : b;
+      if (rng->Bernoulli(0.5)) {
+        txn->Read(object);
+      } else {
+        txn->Write(object);
+      }
+    }
+  }
+  w->spec = AtomicitySpec(w->txns);
+  for (TxnId j = 1; j < w->txns.txn_count(); ++j) {
+    for (std::uint32_t g = 1; g + 1 < 2 * steps; g += 2) {
+      w->spec.SetBreakpoint(0, j, g);
+    }
+  }
+  return w;
 }
 
 // 520 seeded rounds: random workload, random spec, random feed with
 // interleaved random exact aborts. After every abort the checker's
-// digest must equal a from-scratch checker fed the survivors — the
-// no-accumulated-conservatism guarantee the admitter's cascade
-// machinery relies on.
+// digest and topological order must equal a from-scratch checker fed the
+// survivors — the no-accumulated-conservatism guarantee the admitter's
+// cascade machinery relies on — and every later decision up to the next
+// abort (the next rejection's witness included) must match that
+// checker's. Then 60 rounds of the Section 5 shape fed through a window
+// of open transactions, where most aborts roll the journal back and
+// aborts of complete transactions older than the journal take the
+// full-replay fallback; both paths must run.
 TEST(FaultTest, ExactAbortIsBitIdenticalToRebuild) {
   constexpr int kRounds = 520;
   Rng base(0xFA017);
@@ -62,6 +153,7 @@ TEST(FaultTest, ExactAbortIsBitIdenticalToRebuild) {
     const TransactionSet txns = GenerateTransactions(wp, &rng);
     const AtomicitySpec spec = RandomSpec(txns, 0.5, &rng);
     OnlineRsrChecker checker(txns, spec);
+    ShadowChecker shadow(txns, spec);
 
     std::vector<std::uint32_t> next_op(txns.txn_count(), 0);
     std::vector<std::uint8_t> dead(txns.txn_count(), 0);
@@ -83,6 +175,7 @@ TEST(FaultTest, ExactAbortIsBitIdenticalToRebuild) {
           ++aborts_done;
           ASSERT_EQ(checker.StateDigest(), RebuiltDigest(txns, spec, checker))
               << "round " << round << " after aborting T" << victim;
+          shadow.Reset(checker, round);
           continue;
         }
       }
@@ -95,7 +188,9 @@ TEST(FaultTest, ExactAbortIsBitIdenticalToRebuild) {
       if (feedable.empty()) break;
       const TxnId t = rng.Choice(feedable);
       const Operation& op = txns.txn(t).op(next_op[t]);
-      if (checker.TryAppend(op).ok()) {
+      const AdmitResult result = checker.TryAppend(op);
+      shadow.Mirror(op, result, round);
+      if (result.ok()) {
         ++next_op[t];
       } else {
         // Mirror the admitter: a certification rejection aborts the
@@ -105,6 +200,7 @@ TEST(FaultTest, ExactAbortIsBitIdenticalToRebuild) {
           ++aborts_done;
           ASSERT_EQ(checker.StateDigest(), RebuiltDigest(txns, spec, checker))
               << "round " << round << " after reject-abort of T" << t;
+          shadow.Reset(checker, round);
         }
         dead[t] = 1;
       }
@@ -113,6 +209,79 @@ TEST(FaultTest, ExactAbortIsBitIdenticalToRebuild) {
       EXPECT_GT(aborts_done, 0u) << "first round should exercise aborts";
     }
   }
+
+  constexpr int kAuditRounds = 60;
+  const Rng audit_base(0x5EC5);
+  std::uint64_t rollbacks = 0;
+  std::uint64_t full_replays = 0;
+  for (int round = 0; round < kAuditRounds; ++round) {
+    Rng rng = audit_base.Split(static_cast<std::uint64_t>(round));
+    const std::unique_ptr<AuditWorkload> w = MakeAuditWorkload(&rng);
+    const TransactionSet& txns = w->txns;
+    const AtomicitySpec& spec = w->spec;
+    OnlineRsrChecker checker(txns, spec);
+    Tracer tracer(TraceLevel::kCounters);
+    checker.set_tracer(&tracer);
+    ShadowChecker shadow(txns, spec);
+    const auto abort = [&](TxnId victim) {
+      const std::uint64_t full_before = tracer.counters().abort_full_replays;
+      checker.RemoveTransactionExact(victim);
+      ++(tracer.counters().abort_full_replays > full_before ? full_replays
+                                                            : rollbacks);
+      ASSERT_EQ(checker.StateDigest(), RebuiltDigest(txns, spec, checker))
+          << "audit round " << round << " after aborting T" << victim;
+      shadow.Reset(checker, round);
+    };
+
+    // Open transactions in order, the audit entering the window after a
+    // few transfers; the front of the window submits one op at a time.
+    std::vector<TxnId> arrival;
+    for (TxnId t = 1; t < txns.txn_count(); ++t) arrival.push_back(t);
+    arrival.insert(arrival.begin() + static_cast<std::ptrdiff_t>(
+                                         rng.UniformIndex(5)),
+                   0);
+    const std::size_t window = 3 + rng.UniformIndex(4);
+    std::vector<std::uint32_t> next_op(txns.txn_count(), 0);
+    std::vector<std::uint8_t> dead(txns.txn_count(), 0);
+    std::deque<TxnId> open;
+    std::size_t arrived = 0;
+    while (true) {
+      while (open.size() < window && arrived < arrival.size()) {
+        open.push_back(arrival[arrived++]);
+      }
+      if (open.empty()) break;
+      if (rng.Bernoulli(0.08)) {
+        // Any transaction with executed ops may be the victim, complete
+        // ones included.
+        std::vector<TxnId> candidates;
+        for (TxnId t = 0; t < txns.txn_count(); ++t) {
+          if (dead[t] == 0 && checker.TxnHasExecuted(t)) {
+            candidates.push_back(t);
+          }
+        }
+        if (!candidates.empty()) {
+          const TxnId victim = rng.Choice(candidates);
+          abort(victim);
+          dead[victim] = 1;
+          std::erase(open, victim);
+          continue;
+        }
+      }
+      const TxnId t = open.front();
+      open.pop_front();
+      const Operation& op = txns.txn(t).op(next_op[t]);
+      const AdmitResult result = checker.TryAppend(op);
+      shadow.Mirror(op, result, round);
+      if (result.ok()) {
+        if (++next_op[t] < txns.txn(t).size()) open.push_back(t);
+      } else {
+        if (checker.TxnHasExecuted(t)) abort(t);
+        dead[t] = 1;
+      }
+    }
+  }
+  EXPECT_GT(rollbacks, 0u) << "the journal rollback path never ran";
+  EXPECT_GT(full_replays, 0u) << "the full-replay fallback never ran";
 }
 
 // A voluntary abort must cascade to live transactions that read the

@@ -1,6 +1,9 @@
 // Tests for the streaming certifier (OnlineRsrChecker): agreement with
 // the offline Theorem 1 test, rejection positions, transaction removal,
 // and the DOT export of the maintained graph.
+#include <cstdint>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "core/online.h"
@@ -62,6 +65,38 @@ TEST(OnlineChecker, RejectionLeavesStateUnchanged) {
   // Retry is still rejected (arcs only grow), but state stays coherent.
   EXPECT_FALSE(checker.TryAppend(txns->txn(0).op(1)));
   EXPECT_EQ(checker.rejections(), 2u);
+}
+
+// A rejection is state-neutral: the digest and the maintained
+// topological order are exactly what they were before the attempt (the
+// exact-abort rollback relies on this to match a fresh replay).
+TEST(OnlineChecker, RejectionLeavesDigestAndOrderUnchanged) {
+  Rng rng(0x0DE5);
+  std::size_t rejections = 0;
+  for (int round = 0; round < 300; ++round) {
+    WorkloadParams wp;
+    wp.txn_count = 2 + rng.UniformIndex(5);
+    wp.min_ops_per_txn = 1;
+    wp.max_ops_per_txn = 5;
+    wp.object_count = 2 + rng.UniformIndex(6);
+    const TransactionSet txns = GenerateTransactions(wp, &rng);
+    const AtomicitySpec spec = RandomSpec(txns, rng.UniformDouble(), &rng);
+    const Schedule schedule = RandomSchedule(txns, &rng);
+    OnlineRsrChecker checker(txns, spec);
+    std::vector<std::uint8_t> dead(txns.txn_count(), 0);
+    for (std::size_t pos = 0; pos < schedule.size(); ++pos) {
+      const Operation& op = schedule.op(pos);
+      if (dead[op.txn] != 0) continue;
+      const std::uint64_t digest = checker.StateDigest();
+      const std::vector<NodeId> order = checker.topology().Order();
+      if (checker.TryAppend(op).ok()) continue;
+      ++rejections;
+      dead[op.txn] = 1;  // its later ops can no longer be fed
+      ASSERT_EQ(checker.StateDigest(), digest) << "round " << round;
+      ASSERT_EQ(checker.topology().Order(), order) << "round " << round;
+    }
+  }
+  EXPECT_GT(rejections, 100u);
 }
 
 TEST(OnlineChecker, RemoveTransactionEnablesRetry) {

@@ -195,8 +195,9 @@ TEST(SoaDifferential, IsolatedFastPathAgreesPerTier) {
   }
 }
 
-// Exact aborts: both checkers reset + replay; decisions and state must
-// stay identical through arbitrary mixes of feeds, rejections and
+// Exact aborts: the online checker rolls its undo journal back, the SoA
+// checker resets and replays; decisions, witnesses and state must stay
+// identical through arbitrary mixes of feeds, rejections and
 // RemoveTransactionExact calls.
 TEST(SoaDifferential, ExactAbortKeepsCheckersIdenticalPerTier) {
   constexpr int kRounds = 120;

@@ -276,6 +276,46 @@ TEST(TraceInvariants, AdmitterCountersGoldenForSynchronousClient) {
       counters.batches);
 }
 
+// Exact-abort restoration counters flow through every surface: the
+// counters, MergeFrom, the snapshot JSON, the JSONL export (as the
+// process-level abort_replay / abort_full_replay kinds) and the
+// trace_inspect summary.
+TEST(TraceInvariants, AbortReplayCountersReachEverySurface) {
+  if (!kTracingCompiledIn) GTEST_SKIP() << "tracing compiled out";
+  Tracer tracer(TraceLevel::kFull);
+  tracer.RecordAbortReplay(5, /*full=*/false, 1);
+  tracer.RecordAbortReplay(7, /*full=*/true, 2);
+  EXPECT_EQ(tracer.counters().abort_replayed_ops, 12u);
+  EXPECT_EQ(tracer.counters().abort_full_replays, 1u);
+
+  Tracer merged(TraceLevel::kCounters);
+  merged.MergeFrom(tracer);
+  merged.MergeFrom(tracer);
+  EXPECT_EQ(merged.counters().abort_replayed_ops, 24u);
+  EXPECT_EQ(merged.counters().abort_full_replays, 2u);
+
+  const auto parsed = JsonValue::Parse(SnapshotToJson(merged.Snapshot()));
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  ASSERT_NE(parsed->Find("abort_replayed_ops"), nullptr);
+  ASSERT_NE(parsed->Find("abort_full_replays"), nullptr);
+  EXPECT_EQ(parsed->Find("abort_replayed_ops")->number_value(), 24.0);
+  EXPECT_EQ(parsed->Find("abort_full_replays")->number_value(), 2.0);
+
+  const PaperExample example = Figure1();
+  const std::string jsonl = TraceToJsonl(tracer, example.txns);
+  const TraceValidation validation = ValidateTraceJsonl(jsonl);
+  EXPECT_TRUE(validation.ok)
+      << (validation.errors.empty() ? "" : validation.errors.front());
+  const TraceSummary summary = SummarizeTraceJsonl(jsonl);
+  EXPECT_EQ(summary.abort_replays, 2u);
+  EXPECT_EQ(summary.abort_replayed_ops, 12u);
+  EXPECT_EQ(summary.abort_full_replays, 1u);
+  EXPECT_TRUE(summary.per_txn.empty());  // process-level: no phantom txn
+  EXPECT_NE(RenderTraceSummary(summary).find(
+                "exact aborts: 2 restored, 12 ops re-admitted, 1 full"),
+            std::string::npos);
+}
+
 TEST(TraceInvariants, ChromeTraceIsValidJsonWithPerTxnLanes) {
   if (!kTracingCompiledIn) GTEST_SKIP() << "tracing compiled out";
   const PaperExample example = Figure3();

@@ -2,7 +2,8 @@
 //
 // Usage:
 //   trace_inspect <trace.jsonl>
-//       Print the summary report: top blocking arcs, longest-delayed
+//       Print the summary report: event totals, epoch-GC and exact-abort
+//       restoration tallies, top blocking arcs, longest-delayed
 //       operations, per-transaction wait breakdown.
 //   trace_inspect --check <trace.jsonl>
 //       Validate the file against the normative versioned schema
