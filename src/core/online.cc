@@ -21,8 +21,6 @@ OnlineRsrChecker::OnlineRsrChecker(const TransactionSet& txns,
       flags_(indexer_.total_ops(), 0),
       slot_of_(indexer_.total_ops(), kNoSlot),
       newest_gid_(txn_count_, kNoGid),
-      epoch_(txn_count_, 1),
-      txn_objects_(txn_count_),
       scratch_anc_(txn_count_, 0),
       first_pos_(txn_count_, 0),
       journal_budget_(std::max(kJournalEntriesPerOp * indexer_.total_ops(),
@@ -37,18 +35,13 @@ OnlineRsrChecker::OnlineRsrChecker(const TransactionSet& txns,
   feed_log_.reserve(indexer_.total_ops());
   pending_memos_.reserve(txn_count_);
   topo_.Reserve(4 * indexer_.total_ops());
-  topo_.set_journaling(true);  // journal_on_ starts true
-  // Pre-size the adjacency arena; together with the per-object and
-  // per-transaction reservations below this keeps the steady-state
-  // admission path free of heap allocations (bench_online_hotpath
-  // measures the residual, which is only amortized growth of the few
-  // structures whose final size is workload-dependent).
+  topo_.set_journaling(true);
+  // Pre-size the adjacency arena; together with the per-object
+  // reservations in ObjIndex this keeps the steady-state admission path
+  // free of heap allocations (bench_online_hotpath measures the
+  // residual, which is only amortized growth of the few structures whose
+  // final size is workload-dependent).
   topo_.ReserveAdjacency(8);
-  for (TxnId t = 0; t < txn_count_; ++t) {
-    // One entry per executed op of t (entries are appended per op, so the
-    // exact bound is the transaction length).
-    txn_objects_[t].reserve(txns_.txn(t).size());
-  }
 }
 
 std::uint32_t OnlineRsrChecker::ObjIndex(ObjectId object) {
@@ -56,11 +49,9 @@ std::uint32_t OnlineRsrChecker::ObjIndex(ObjectId object) {
   if (inserted) {
     *slot = static_cast<std::uint32_t>(objects_.size());
     objects_.emplace_back();
-    // Skip the small-capacity doublings every per-object vector would
-    // otherwise go through; hot objects still grow past this normally.
-    objects_.back().ops.reserve(16);
+    // Skip the small-capacity doublings the reader list would otherwise
+    // go through; hot objects still grow past this normally.
     objects_.back().readers.reserve(8);
-    obj_stamp_.push_back(0);
   }
   return *slot;
 }
@@ -86,33 +77,31 @@ void OnlineRsrChecker::ReleaseSlotIfAny(std::size_t gid) {
   slot_of_[gid] = kNoSlot;
   slot_owner_[slot] = kNoGid;
   free_slots_.push_back(slot);
-  if (journal_on_) {
-    // A rollback may hand the row back to `gid`, so its contents are
-    // held until the journal start passes this append — as (txn, value)
-    // pairs: rows are sparse (a few nonzero entries out of txn_count_),
-    // so the slot itself is reused at once.
-    const std::uint32_t* row = &pool_[static_cast<std::size_t>(slot) *
-                                      txn_count_];
-    std::uint32_t held = 0;
-    for (std::size_t t = 0; t < txn_count_; ++t) {
-      if (row[t] != 0) {
-        held_rows_.push_back({static_cast<std::uint32_t>(t), row[t]});
-        ++held;
-      }
+  // A rollback may hand the row back to `gid`, so its contents are held
+  // until the journal start passes this append — as (txn, value) pairs:
+  // rows are sparse (a few nonzero entries out of txn_count_), so the
+  // slot itself is reused at once.
+  const std::uint32_t* row = &pool_[static_cast<std::size_t>(slot) *
+                                    txn_count_];
+  std::uint32_t held = 0;
+  for (std::size_t t = 0; t < txn_count_; ++t) {
+    if (row[t] != 0) {
+      held_rows_.push_back({static_cast<std::uint32_t>(t), row[t]});
+      ++held;
     }
-    changes_.push_back({gid, held, ChangeKind::kRelease});
   }
+  changes_.push_back({gid, held, ChangeKind::kRelease});
 }
 
 void OnlineRsrChecker::DropFlag(std::size_t gid, std::uint8_t bit) {
-  if (journal_on_) changes_.push_back({gid, flags_[gid], ChangeKind::kFlags});
+  changes_.push_back({gid, flags_[gid], ChangeKind::kFlags});
   flags_[gid] = static_cast<std::uint8_t>(flags_[gid] & ~std::uint32_t{bit});
   ReleaseSlotIfAny(gid);
 }
 
 void OnlineRsrChecker::ClearSafe(TxnId txn) {
   if (safe_[txn] == 0) return;
-  if (journal_on_) changes_.push_back({txn, 1, ChangeKind::kSafe});
+  changes_.push_back({txn, 1, ChangeKind::kSafe});
   safe_[txn] = 0;
 }
 
@@ -126,7 +115,7 @@ void OnlineRsrChecker::OpenRecord() {
 AdmitResult OnlineRsrChecker::TryAppend(const Operation& op) {
   const std::size_t gid = indexer_.GlobalId(op);
   RELSER_CHECK_MSG(executed_[gid] == 0,
-                   "operation fed twice without RemoveTransaction");
+                   "operation fed twice without RemoveTransactionExact");
   if (op.index > 0) {
     RELSER_CHECK_MSG(executed_[gid - 1] != 0,
                      "operations must be fed in program order");
@@ -202,11 +191,7 @@ AdmitResult OnlineRsrChecker::TryAppend(const Operation& op) {
     if (u_p1 == 0 || i == j) continue;
     const std::uint64_t key = MemoKey(i, j);
     MemoEntry memo;
-    if (const MemoEntry* found = memo_.Find(key);
-        found != nullptr && found->epoch_i == epoch_[i] &&
-        found->epoch_j == epoch_[j]) {
-      memo = *found;
-    }
+    if (const MemoEntry* found = memo_.Find(key)) memo = *found;
     if (u_p1 <= memo.u_max_p1) continue;  // nothing new to push or pull
     const std::uint32_t u = u_p1 - 1;
     const std::uint32_t pushed = spec_.PushForward(i, j, u);
@@ -226,8 +211,6 @@ AdmitResult OnlineRsrChecker::TryAppend(const Operation& op) {
     }
     // pulled == op.index needs no arc: (i, u) already reaches this op.
     memo.u_max_p1 = u_p1;
-    memo.epoch_i = epoch_[i];
-    memo.epoch_j = epoch_[j];
     pending_memos_.push_back({key, memo});
   }
 
@@ -272,10 +255,10 @@ AdmitResult OnlineRsrChecker::TryAppend(const Operation& op) {
   }
 
   // Commit: memos, then the shared tail (ancestor array, retention
-  // flags, frontier, indices).
+  // flags, frontier).
   for (const PendingMemo& pending : pending_memos_) {
     const auto [entry, inserted] = memo_.Upsert(pending.key);
-    if (journal_on_) memo_undo_.push_back({pending.key, *entry, !inserted});
+    memo_undo_.push_back({pending.key, *entry, !inserted});
     *entry = pending.entry;
   }
   // Isolation tracking for TryAppendIsolated: every arc emitted above is
@@ -297,7 +280,7 @@ AdmitResult OnlineRsrChecker::TryAppend(const Operation& op) {
 AdmitResult OnlineRsrChecker::TryAppendIsolated(const Operation& op) {
   const std::size_t gid = indexer_.GlobalId(op);
   RELSER_CHECK_MSG(executed_[gid] == 0,
-                   "operation fed twice without RemoveTransaction");
+                   "operation fed twice without RemoveTransactionExact");
   if (op.index > 0) {
     RELSER_CHECK_MSG(executed_[gid - 1] != 0,
                      "operations must be fed in program order");
@@ -379,12 +362,10 @@ void OnlineRsrChecker::CommitOp(const Operation& op, std::size_t gid,
     // The old frontier is dominated: future conflicts reach it through
     // this write. Drop its retention claims.
     if (state.last_writer != kNoGid) DropFlag(state.last_writer, kFrontierFlag);
-    if (journal_on_) {
-      // Logged newest first, so the newest-first undo re-appends them in
-      // feed order.
-      for (auto it = state.readers.rbegin(); it != state.readers.rend(); ++it) {
-        changes_.push_back({*it, 0, ChangeKind::kReader});
-      }
+    // Logged newest first, so the newest-first undo re-appends them in
+    // feed order.
+    for (auto it = state.readers.rbegin(); it != state.readers.rend(); ++it) {
+      changes_.push_back({*it, 0, ChangeKind::kReader});
     }
     for (const std::size_t reader : state.readers) {
       DropFlag(reader, kFrontierFlag);
@@ -394,17 +375,13 @@ void OnlineRsrChecker::CommitOp(const Operation& op, std::size_t gid,
   } else {
     state.readers.push_back(gid);
   }
-  state.ops.push_back(gid);
-  txn_objects_[j].push_back(obj_idx);
 
   executed_[gid] = 1;
   ++executed_count_;
   if (op.index == 0) first_pos_[j] = feed_log_.size();
   feed_log_.push_back(gid);
-  if (journal_on_) {
-    records_.push_back(record);
-    TrimJournal();
-  }
+  records_.push_back(record);
+  TrimJournal();
 }
 
 void OnlineRsrChecker::TrimJournal() {
@@ -454,8 +431,6 @@ void OnlineRsrChecker::UndoAppend(const AppendRecord& record) {
   feed_log_.pop_back();
   executed_[gid] = 0;
   --executed_count_;
-  txn_objects_[j].pop_back();
-  state.ops.pop_back();
   if (op.is_write()) {
     state.last_writer = record.old_last_writer;  // readers: kReader below
   } else {
@@ -508,127 +483,14 @@ void OnlineRsrChecker::UndoAppend(const AppendRecord& record) {
     RELSER_DCHECK(record.obj_idx + 1 == objects_.size());
     object_index_.Erase(op.object);
     objects_.pop_back();
-    obj_stamp_.pop_back();
   }
-}
-
-void OnlineRsrChecker::ResetJournal(bool on) {
-  records_.Reset(feed_log_.size());
-  changes_.Reset(0);
-  held_rows_.Reset(0);
-  memo_undo_.Reset(0);
-  topo_.set_journaling(on);
-  journal_on_ = on;
-}
-
-void OnlineRsrChecker::RetainFrontier(std::size_t gid) {
-  flags_[gid] = static_cast<std::uint8_t>(flags_[gid] | kFrontierFlag);
-  if (slot_of_[gid] != kNoSlot) return;
-  // The array was released when this op left the frontier; resurrect it
-  // from the newest retained array of its transaction. That array is a
-  // superset of the op's true ancestors (arrays are cumulative along
-  // program order), so admission stays sound.
-  const TxnId txn = indexer_.TxnOf(gid);
-  const std::size_t newest = newest_gid_[txn];
-  RELSER_DCHECK(newest != kNoGid && slot_of_[newest] != kNoSlot);
-  const std::size_t src = static_cast<std::size_t>(slot_of_[newest]) *
-                          txn_count_;
-  const std::uint32_t slot = AcquireSlot(gid);
-  std::copy(&pool_[src], &pool_[src + txn_count_], &pool_[slot * txn_count_]);
-}
-
-void OnlineRsrChecker::RebuildFrontier(ObjState& state) {
-  state.last_writer = kNoGid;
-  state.readers.clear();
-  rebuild_reads_.clear();
-  for (std::size_t i = state.ops.size(); i > 0; --i) {
-    const std::size_t gid = state.ops[i - 1];
-    if (indexer_.Op(gid).is_write()) {
-      state.last_writer = gid;
-      break;
-    }
-    rebuild_reads_.push_back(gid);
-  }
-  state.readers.assign(rebuild_reads_.rbegin(), rebuild_reads_.rend());
-  // A removal only widens the frontier (survivors keep their membership),
-  // so re-flagging every member — resurrecting released arrays — restores
-  // the retention invariant.
-  if (state.last_writer != kNoGid) RetainFrontier(state.last_writer);
-  for (const std::size_t reader : state.readers) RetainFrontier(reader);
-}
-
-void OnlineRsrChecker::RemoveTransaction(TxnId txn) {
-  ResetJournal(false);
-  const std::size_t begin = indexer_.TxnBegin(txn);
-  const std::size_t end = indexer_.TxnEnd(txn);
-  for (std::size_t gid = begin; gid < end; ++gid) {
-    // Unexecuted ops can still carry arcs (F-arc sources / B-arc targets
-    // land on future ops), so every node of the transaction is isolated.
-    //
-    // Frontier-pruned arcs encode many dependencies only as *paths*, and
-    // a path between survivors may route through this node (e.g. the
-    // write chain w1 -> w_removed -> w3 carries the direct w1/w3
-    // conflict). Bypass arcs pred -> succ preserve the survivor-restricted
-    // transitive closure exactly, so no admitted dependency loses its
-    // path (docs/hotpath.md, abort section). Internal I-arcs only ever
-    // point to higher gids, so processing gids in increasing order chains
-    // bypasses through multi-op removals correctly.
-    bypass_in_.assign(topo_.graph().InNeighbors(gid).begin(),
-                      topo_.graph().InNeighbors(gid).end());
-    bypass_out_.assign(topo_.graph().OutNeighbors(gid).begin(),
-                       topo_.graph().OutNeighbors(gid).end());
-    topo_.IsolateNode(gid);
-    for (const NodeId pred : bypass_in_) {
-      for (const NodeId succ : bypass_out_) {
-        // A rejected bypass would mean pred -> gid -> succ closed a cycle
-        // before the removal, which an acyclic graph cannot contain.
-        RELSER_CHECK(topo_.AddEdge(pred, succ) !=
-                     IncrementalTopology::AddResult::kCycle);
-      }
-    }
-    if (executed_[gid] != 0) {
-      executed_[gid] = 0;
-      --executed_count_;
-    }
-    flags_[gid] = 0;
-    ReleaseSlotIfAny(gid);
-  }
-  newest_gid_[txn] = kNoGid;
-  // Every arc incident on the transaction's nodes was removed by
-  // IsolateNode (the bypass arcs connect only survivor nodes), so its
-  // fresh incarnation starts isolated again.
-  safe_[txn] = 1;
-  // Scrub the removed transaction's column from every retained array.
-  // Entries of *other* transactions that flowed through the removed ops
-  // are kept: a sound over-approximation (class-level comment).
-  for (std::size_t slot = 0; slot < slot_owner_.size(); ++slot) {
-    if (slot_owner_[slot] != kNoGid) {
-      pool_[slot * txn_count_ + txn] = 0;
-    }
-  }
-  ++epoch_[txn];  // invalidates every memo involving this transaction
-  // Reverse-index scrub: only objects this transaction touched.
-  ++obj_gen_;
-  for (const std::uint32_t obj_idx : txn_objects_[txn]) {
-    if (obj_stamp_[obj_idx] == obj_gen_) continue;
-    obj_stamp_[obj_idx] = obj_gen_;
-    ObjState& state = objects_[obj_idx];
-    std::erase_if(state.ops, [&](std::size_t gid) {
-      return gid >= begin && gid < end;
-    });
-    RebuildFrontier(state);
-  }
-  txn_objects_[txn].clear();
-  std::erase_if(feed_log_, [&](std::size_t gid) {
-    return gid >= begin && gid < end;
-  });
 }
 
 void OnlineRsrChecker::RemoveTransactionExact(TxnId txn) {
-  if (journal_on_ && !TxnHasExecuted(txn)) return;  // nothing to forget
+  if (!TxnHasExecuted(txn)) return;  // nothing to forget
   const std::size_t begin = indexer_.TxnBegin(txn);
   const std::size_t end = indexer_.TxnEnd(txn);
-  const bool rollback = journal_on_ && first_pos_[txn] >= records_.begin();
+  const bool rollback = first_pos_[txn] >= records_.begin();
   const std::size_t from = rollback ? first_pos_[txn] : 0;
 
   // Snapshot the survivors from the restart point on, then restore the
@@ -673,24 +535,24 @@ void OnlineRsrChecker::ResetAndReplay() {
   topo_ = IncrementalTopology(indexer_.total_ops());
   topo_.Reserve(4 * indexer_.total_ops());
   topo_.ReserveAdjacency(8);
+  topo_.set_journaling(true);
   std::fill(executed_.begin(), executed_.end(), std::uint8_t{0});
   std::fill(safe_.begin(), safe_.end(), std::uint8_t{1});
   std::fill(flags_.begin(), flags_.end(), std::uint8_t{0});
   std::fill(slot_of_.begin(), slot_of_.end(), kNoSlot);
   std::fill(newest_gid_.begin(), newest_gid_.end(), kNoGid);
-  std::fill(epoch_.begin(), epoch_.end(), std::uint64_t{1});
   pool_.clear();
   free_slots_.clear();
   slot_owner_.clear();
   object_index_.Clear();
   objects_.clear();
-  obj_stamp_.clear();
-  obj_gen_ = 0;
-  for (auto& touched : txn_objects_) touched.clear();
   memo_.Clear();
   executed_count_ = 0;
   feed_log_.clear();
-  ResetJournal(true);
+  records_.Reset(0);
+  changes_.Reset(0);
+  held_rows_.Reset(0);
+  memo_undo_.Reset(0);
   ReplaySilently();
 }
 
@@ -756,8 +618,6 @@ std::uint64_t OnlineRsrChecker::StateDigest() const {
     for (const auto& [object, idx] : by_object) {
       const ObjState& state = objects_[idx];
       mix(object);
-      mix(state.ops.size());
-      for (const std::size_t gid : state.ops) mix(gid);
       mix(state.last_writer);
       for (const std::size_t gid : state.readers) mix(gid);
     }
@@ -774,7 +634,7 @@ std::uint64_t OnlineRsrChecker::StateDigest() const {
     for (std::size_t t = 0; t < txn_count_; ++t) mix(row[t]);
   }
   // F/B memo, sorted by key (FlatMap64 iteration order is capacity-
-  // dependent). Epochs participate: they gate entry validity.
+  // dependent).
   {
     std::vector<std::pair<std::uint64_t, MemoEntry>> entries;
     entries.reserve(memo_.size());
@@ -788,11 +648,8 @@ std::uint64_t OnlineRsrChecker::StateDigest() const {
       mix(key);
       mix(entry.u_max_p1);
       mix(entry.pf_p1);
-      mix(entry.epoch_i);
-      mix(entry.epoch_j);
     }
   }
-  for (const std::uint64_t e : epoch_) mix(e);
   // Graph adjacency, sorted per node (F/B arcs can land on not-yet-
   // executed nodes, so every node is included).
   {

@@ -22,17 +22,14 @@
 // the furthest F/B arcs already emitted. Dominated arcs are never
 // inserted; docs/hotpath.md proves the transitive closure — and therefore
 // every accept/reject decision — is bit-identical to the full emission.
-// Two abort paths exist. RemoveTransaction is the fast incremental one:
-// the ancestor arrays are rebuilt as a sound over-approximation (see
-// RemoveTransaction below), mirroring the baseline's documented
-// post-abort behavior. RemoveTransactionExact is the exact one the
-// admitter's abort/cascade machinery uses: the post-abort state is
-// bit-identical (StateDigest, and the topological order) to a checker
-// that never saw the aborted transaction — differentially tested by
-// tests/fault_test.cc. It rolls an undo journal of accepted appends back
-// to the victim's first admission and silently re-admits the surviving
-// suffix, so it costs time in proportion to the ops admitted since then
-// (docs/hotpath.md, abort section).
+// Aborts take one path, RemoveTransactionExact, used by the admitter's
+// abort/cascade machinery and the simulator's RSGT scheduler alike: the
+// post-abort state is bit-identical (StateDigest, and the topological
+// order) to a checker that never saw the aborted transaction —
+// differentially tested by tests/fault_test.cc. It rolls an undo journal
+// of accepted appends back to the victim's first admission and silently
+// re-admits the surviving suffix, so it costs time in proportion to the
+// ops admitted since then (docs/hotpath.md, abort section).
 //
 // Decisions are reported as AdmitResult (core/admit.h): kAccept commits
 // the arcs, kReject leaves the state unchanged and carries the
@@ -89,30 +86,12 @@ class OnlineRsrChecker {
   /// node of `txn` (the TryAppendIsolated eligibility bit).
   bool TxnIsolated(TxnId txn) const { return safe_[txn] != 0; }
 
-  /// Forgets every fed operation of `txn` (scheduler abort). Incremental:
-  /// isolates the transaction's nodes — inserting pred->succ bypass arcs
-  /// first, so every closure path between survivors that routed through a
-  /// removed node is preserved — scrubs its column from the retained
-  /// ancestor arrays, and rebuilds the conflict frontier of only the
-  /// objects the transaction touched (reverse index). Frontier members
-  /// whose ancestor arrays were released are resurrected from the newest
-  /// retained array of their transaction — a superset of their true
-  /// ancestors. Post-abort admission is therefore a sound
-  /// over-approximation (may reject a schedule the full graph would
-  /// accept, never the converse), matching the baseline's stale-bit
-  /// behavior in spirit; docs/hotpath.md gives the argument. It edits
-  /// state the exact-abort journal cannot undo, so it switches the
-  /// journal off: a later RemoveTransactionExact takes the full replay,
-  /// which restores exactness and restarts the journal.
-  void RemoveTransaction(TxnId txn);
-
-  /// Exact abort: forgets every fed operation of `txn` and restores the
+  /// Abort: forgets every fed operation of `txn` and restores the
   /// checker to the state of a fresh checker fed the surviving feed (the
   /// accepted operations, in their original admission order, minus
-  /// `txn`'s): bit-identical StateDigest and topological order — no
-  /// over-approximation, no stale safe bits, no widened memos. This is
-  /// the abort path the admitter uses, so repeated abort/cascade storms
-  /// cannot accumulate conservatism.
+  /// `txn`'s): bit-identical StateDigest and topological order, so
+  /// repeated abort/cascade storms cannot accumulate conservatism. A
+  /// transaction with no executed operation is a no-op.
   ///
   /// Cost. Every accepted append is journaled (memo upserts, cleared safe
   /// bits and flags, pool-row acquire/release, frontier changes, object
@@ -125,10 +104,9 @@ class OnlineRsrChecker {
   /// the victim's first operation lies inside the journal, the abort
   /// undoes the appends back to that position and silently re-admits the
   /// surviving suffix: O(ops admitted since the victim's first op).
-  /// Otherwise (a victim older than the journal start, or any abort
-  /// after the approximate RemoveTransaction) it falls back to a full
-  /// reset plus a silent replay of every survivor, which also rebuilds
-  /// the journal. Every survivor re-admits, because the survivor-
+  /// Otherwise (a victim older than the journal start) it falls back to
+  /// a full reset plus a silent replay of every survivor, which also
+  /// rebuilds the journal. Every survivor re-admits, because the survivor-
   /// restricted RSG is a subgraph of the original acyclic graph.
   ///
   /// Counters: rejections(), arcs_submitted() and arcs_inserted_total()
@@ -236,20 +214,16 @@ class OnlineRsrChecker {
   static constexpr std::uint8_t kNewestFlag = 1;    // newest executed of txn
   static constexpr std::uint8_t kFrontierFlag = 2;  // in an object frontier
 
-  /// Conflict frontier and executed-op list of one object.
+  /// Conflict frontier of one object.
   struct ObjState {
-    std::vector<std::size_t> ops;      // executed gids, feed order
     std::vector<std::size_t> readers;  // reads since last_writer, feed order
     std::size_t last_writer = kNoGid;
   };
 
   /// Furthest F/B emission already performed for a (Ti -> Tj) pair.
-  /// Stale when either transaction's epoch moved (abort invalidation).
   struct MemoEntry {
     std::uint32_t u_max_p1 = 0;  // +1-encoded max ancestor index in Ti
     std::uint32_t pf_p1 = 0;     // +1-encoded furthest PushForward emitted
-    std::uint64_t epoch_i = 0;
-    std::uint64_t epoch_j = 0;
   };
 
   struct PendingMemo {
@@ -271,13 +245,9 @@ class OnlineRsrChecker {
   void ClearSafe(TxnId txn);
   /// Shared commit tail of TryAppend / TryAppendIsolated: persists
   /// scratch_anc_ into the slot pool and updates retention flags, the
-  /// object frontier, reverse indices and executed bookkeeping. `obj_idx`
-  /// is kNoObj when the object has no state yet.
+  /// object frontier and executed bookkeeping. `obj_idx` is kNoObj when
+  /// the object has no state yet.
   void CommitOp(const Operation& op, std::size_t gid, std::uint32_t obj_idx);
-  /// Re-flags `gid` as frontier; if its ancestor array was released,
-  /// resurrects it from the newest retained array of its transaction.
-  void RetainFrontier(std::size_t gid);
-  void RebuildFrontier(ObjState& state);
 
   // ---- Undo journal (RemoveTransactionExact's rollback path) ----
   // records_ holds one record per feed position in [records_.begin(),
@@ -321,10 +291,6 @@ class OnlineRsrChecker {
   /// Undoes the appends at feed positions >= `pos` (newest first).
   void RollbackTo(std::size_t pos);
   void UndoAppend(const AppendRecord& record);
-  /// Forgets the journal and switches journaling on or off (off: the
-  /// approximate RemoveTransaction edits state the journal cannot undo;
-  /// ResetAndReplay switches it back on).
-  void ResetJournal(bool on);
   /// Re-admits replay_feed_ with tracing off and the counters held.
   void ReplaySilently();
 
@@ -339,7 +305,6 @@ class OnlineRsrChecker {
   std::vector<std::uint8_t> flags_;        // retention flags per gid
   std::vector<std::uint32_t> slot_of_;     // gid -> pool slot (kNoSlot)
   std::vector<std::size_t> newest_gid_;    // txn -> newest executed gid
-  std::vector<std::uint64_t> epoch_;       // txn -> abort epoch
 
   // Ancestor-array pool: row `slot` holds txn_count_ +1-encoded maximum
   // ancestor indices (0 = no ancestor in that transaction). Rows are
@@ -352,9 +317,6 @@ class OnlineRsrChecker {
 
   FlatMap64<std::uint32_t> object_index_;  // ObjectId -> objects_ index
   std::vector<ObjState> objects_;
-  std::vector<std::vector<std::uint32_t>> txn_objects_;  // reverse index
-  std::vector<std::uint64_t> obj_stamp_;  // abort-scrub dedup stamps
-  std::uint64_t obj_gen_ = 0;
 
   FlatMap64<MemoEntry> memo_;
 
@@ -364,9 +326,6 @@ class OnlineRsrChecker {
   std::vector<std::pair<NodeId, NodeId>> arc_buf_;
   std::vector<std::uint8_t> arc_kind_buf_;  // parallel to arc_buf_ (tracing)
   std::vector<PendingMemo> pending_memos_;
-  std::vector<std::size_t> rebuild_reads_;  // RebuildFrontier scratch
-  std::vector<NodeId> bypass_in_;           // RemoveTransaction scratch
-  std::vector<NodeId> bypass_out_;
   std::vector<std::size_t> feed_log_;     // accepted gids, admission order
   std::vector<std::size_t> replay_feed_;  // abort/truncate replay scratch
   std::vector<std::size_t> first_pos_;    // txn -> feed position of op 0
@@ -376,7 +335,6 @@ class OnlineRsrChecker {
   UndoLog<std::pair<std::uint32_t, std::uint32_t>> held_rows_;  // (txn, v)
   UndoLog<MemoUndo> memo_undo_;
   AppendRecord open_record_;
-  bool journal_on_ = true;
   // Cap on journal entries (all logs together), past which the oldest
   // records are dropped even if their transaction is incomplete.
   static constexpr std::size_t kJournalEntriesPerOp = 32;

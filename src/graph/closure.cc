@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "util/simd.h"
-
 namespace relser {
 
 TransitiveClosure TransitiveClosure::FromDagOrder(
@@ -19,7 +17,8 @@ TransitiveClosure TransitiveClosure::FromDagOrder(
     std::uint64_t* row = &closure.words_[node * closure.stride_];
     for (const NodeId succ : graph.OutNeighbors(node)) {
       row[succ >> 6] |= (1ULL << (succ & 63));
-      OrWords(row, &closure.words_[succ * closure.stride_], closure.stride_);
+      const std::uint64_t* reach = &closure.words_[succ * closure.stride_];
+      for (std::size_t w = 0; w < closure.stride_; ++w) row[w] |= reach[w];
     }
   }
   return closure;

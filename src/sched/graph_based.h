@@ -103,7 +103,9 @@ class RSGTScheduler : public Scheduler {
   // transaction node is.
   void OnCommit(TxnId txn) override { (void)txn; }
 
-  void OnAbort(TxnId txn) override { checker_.RemoveTransaction(txn); }
+  // Exact: the checker forgets the victim as if it had never run, so
+  // restarted transactions face no conservatism left by earlier aborts.
+  void OnAbort(TxnId txn) override { checker_.RemoveTransactionExact(txn); }
 
   std::string name() const override { return "rsgt"; }
 

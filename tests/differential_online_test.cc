@@ -215,10 +215,8 @@ TEST(DifferentialOnline, FrontierPruningNeverInsertsMoreArcsThanBaseline) {
 }
 
 // Abort-path soundness: after any mix of accepted operations, rejections
-// and RemoveTransaction calls, every execution the checker has admitted
-// must still be relatively serializable. (Post-abort the checker is a
-// documented over-approximation, so cross-implementation agreement is not
-// required — only soundness of what it accepts.)
+// and RemoveTransactionExact calls, every execution the checker has
+// admitted must still be relatively serializable.
 TEST(DifferentialOnline, AcceptedExecutionsStaySoundAcrossAborts) {
   Rng rng(0xAB0F);
   for (int round = 0; round < 250; ++round) {
@@ -235,7 +233,7 @@ TEST(DifferentialOnline, AcceptedExecutionsStaySoundAcrossAborts) {
     std::vector<Operation> fed;  // surviving execution, feed order
     std::vector<std::uint32_t> next(txns.txn_count(), 0);
     auto drop_txn = [&](TxnId t) {
-      checker.RemoveTransaction(t);
+      checker.RemoveTransactionExact(t);
       std::erase_if(fed, [t](const Operation& op) { return op.txn == t; });
       next[t] = 0;
     };

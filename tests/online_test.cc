@@ -108,7 +108,7 @@ TEST(OnlineChecker, RemoveTransactionEnablesRetry) {
   EXPECT_TRUE(checker.TryAppend(txns->txn(1).op(1)));
   EXPECT_FALSE(checker.TryAppend(txns->txn(0).op(1)));
   // Abort T1 and replay it after T2: now serial, accepted.
-  checker.RemoveTransaction(0);
+  checker.RemoveTransactionExact(0);
   EXPECT_EQ(checker.executed_count(), 2u);
   EXPECT_FALSE(checker.Executed(0, 0));
   EXPECT_TRUE(checker.TryAppend(txns->txn(0).op(0)));

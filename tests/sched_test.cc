@@ -6,6 +6,7 @@
 
 #include <memory>
 
+#include "core/online.h"
 #include "core/paper_examples.h"
 #include "model/text.h"
 #include "sched/engine.h"
@@ -134,6 +135,35 @@ TEST(SchedulerBasics, RsgtAdmitsTheFigure1WorkloadWithoutAborts) {
   const RunVerification verification = VerifyRun(
       fig.txns, fig.spec, result, Guarantee::kRelativelySerializable);
   EXPECT_TRUE(verification.guarantee_held);
+}
+
+TEST(SchedulerBasics, RsgtAbortForgetsTheVictimExactly) {
+  // r3[x] w1[x] r2[x] puts w1[x] between r3[x] and r2[x]. Once T1 aborts,
+  // the survivors r3[x] r2[x] are two reads with no arc between them, so
+  // w3[x] (arc r2 -> w3, pulled back to r3 under absolute atomicity)
+  // closes no cycle. An abort that kept a path r3 -> r2 through the
+  // removed w1[x] would reject it.
+  auto txns =
+      ParseTransactionSet("T1 = w1[x]\nT2 = r2[x]\nT3 = r3[x] w3[x]\n");
+  ASSERT_TRUE(txns.ok());
+  const AtomicitySpec spec = AbsoluteSpec(*txns);
+  const Operation w1x = txns->txn(0).op(0);
+  const Operation r2x = txns->txn(1).op(0);
+  const Operation r3x = txns->txn(2).op(0);
+  const Operation w3x = txns->txn(2).op(1);
+  RSGTScheduler scheduler(*txns, spec);
+  EXPECT_EQ(scheduler.OnRequest(r3x), AdmitOutcome::kAccept);
+  EXPECT_EQ(scheduler.OnRequest(w1x), AdmitOutcome::kAccept);
+  EXPECT_EQ(scheduler.OnRequest(r2x), AdmitOutcome::kAccept);
+  scheduler.OnAbort(0);
+  EXPECT_EQ(scheduler.OnRequest(w3x), AdmitOutcome::kAccept);
+  EXPECT_EQ(scheduler.cycle_rejections(), 0u);
+
+  // The same decision as a fresh checker fed only the survivors.
+  OnlineRsrChecker fresh(*txns, spec);
+  ASSERT_TRUE(fresh.TryAppend(r3x).ok());
+  ASSERT_TRUE(fresh.TryAppend(r2x).ok());
+  EXPECT_TRUE(fresh.TryAppend(w3x).ok());
 }
 
 TEST(SchedulerBasics, UnitLockReleasesEarlyOnlyWithBreakpoints) {

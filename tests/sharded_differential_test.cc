@@ -130,6 +130,39 @@ TEST(ShardedDifferential, CommittedHistoriesReplayOnTheFullChecker) {
     }
     coordinator_rejects += admitter.coordinator().rejects();
   }
+
+  // Planted round: T1 = w1[a] w1[b] and T2 = w2[b] w2[a] span the two
+  // range shards in opposite order. Fed w1[a] w2[b] w1[b] w2[a] from one
+  // thread, each shard sees one arc (shard 1: T2 -> T1, shard 0:
+  // T1 -> T2), so only the coordinator can see the cycle, and it must
+  // reject w2[a]. This keeps the coverage check below independent of
+  // how the random rounds' threads happen to interleave.
+  {
+    TransactionSet txns;
+    const ObjectId a = txns.InternObject("a");
+    const ObjectId b = txns.InternObject("b");
+    Transaction* t1 = txns.AddTransaction();
+    t1->Write(a);
+    t1->Write(b);
+    Transaction* t2 = txns.AddTransaction();
+    t2->Write(b);
+    t2->Write(a);
+    const AtomicitySpec spec(txns);
+    const ShardRouter router(txns.object_count(), 2, ShardStrategy::kRange);
+    ShardedAdmitter admitter(txns, spec, router, ShardedAdmitterOptions{});
+    Backoff backoff(0xB0FF);
+    EXPECT_TRUE(admitter.SubmitWithBackoff(txns.txn(0).op(0), backoff).ok());
+    EXPECT_TRUE(admitter.SubmitWithBackoff(txns.txn(1).op(0), backoff).ok());
+    EXPECT_TRUE(admitter.SubmitWithBackoff(txns.txn(0).op(1), backoff).ok());
+    EXPECT_FALSE(admitter.SubmitWithBackoff(txns.txn(1).op(1), backoff).ok());
+    admitter.Stop();
+    OnlineRsrChecker replay(txns, spec);
+    for (const Operation& op : admitter.CommittedLog()) {
+      ASSERT_TRUE(replay.TryAppend(op).ok()) << "planted round";
+    }
+    coordinator_rejects += admitter.coordinator().rejects();
+  }
+
   // The sweep must exercise the interesting regimes to mean anything.
   EXPECT_GT(committed_txns, rounds) << "commits should dominate";
   EXPECT_GT(aborted_txns, 0u);

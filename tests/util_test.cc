@@ -6,6 +6,7 @@
 #include <cmath>
 #include <set>
 #include <sstream>
+#include <vector>
 
 #include "util/bitset.h"
 #include "util/rng.h"
@@ -375,6 +376,101 @@ TEST(Bitset, EmptyBitset) {
   EXPECT_EQ(bits.size(), 0u);
   EXPECT_TRUE(bits.None());
   EXPECT_EQ(bits.FindNext(0), 0u);
+}
+
+// Word-boundary checks: sizes straddling 64-bit word edges
+// (0/1/63/64/65/...) against naive per-bit references.
+DenseBitset NaiveUnion(const DenseBitset& a, const DenseBitset& b) {
+  DenseBitset out(a.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (a.Test(i) || b.Test(i)) out.Set(i);
+  }
+  return out;
+}
+
+DenseBitset NaiveIntersection(const DenseBitset& a, const DenseBitset& b) {
+  DenseBitset out(a.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (a.Test(i) && b.Test(i)) out.Set(i);
+  }
+  return out;
+}
+
+bool NaiveIntersects(const DenseBitset& a, const DenseBitset& b) {
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (a.Test(i) && b.Test(i)) return true;
+  }
+  return false;
+}
+
+TEST(DenseBitsetWordBoundary, BulkOpsMatchNaiveAtBoundarySizes) {
+  const std::size_t kSizes[] = {0, 1, 63, 64, 65, 127, 128, 129, 200};
+  Rng rng(0xB1B5);
+  for (const std::size_t size : kSizes) {
+    for (int trial = 0; trial < 20; ++trial) {
+      DenseBitset a(size);
+      DenseBitset b(size);
+      for (std::size_t i = 0; i < size; ++i) {
+        if (rng.UniformDouble() < 0.4) a.Set(i);
+        if (rng.UniformDouble() < 0.4) b.Set(i);
+      }
+      DenseBitset u = a;
+      u.UnionWith(b);
+      EXPECT_EQ(u, NaiveUnion(a, b)) << "size " << size;
+      DenseBitset x = a;
+      x.IntersectWith(b);
+      EXPECT_EQ(x, NaiveIntersection(a, b)) << "size " << size;
+      EXPECT_EQ(a.Intersects(b), NaiveIntersects(a, b)) << "size " << size;
+      EXPECT_EQ(u.Count(), NaiveUnion(a, b).Count());
+    }
+  }
+}
+
+TEST(DenseBitsetWordBoundary, SetTestFindAtWordEdges) {
+  for (const std::size_t size : {1ul, 63ul, 64ul, 65ul, 128ul, 129ul}) {
+    DenseBitset bits(size);
+    EXPECT_TRUE(bits.None());
+    EXPECT_EQ(bits.FindNext(0), size);
+    bits.Set(0);
+    bits.Set(size - 1);
+    EXPECT_TRUE(bits.Test(0));
+    EXPECT_TRUE(bits.Test(size - 1));
+    EXPECT_EQ(bits.Count(), size == 1 ? 1u : 2u);
+    EXPECT_EQ(bits.FindNext(0), 0u);
+    if (size > 1) {
+      EXPECT_EQ(bits.FindNext(1), size - 1);
+      EXPECT_EQ(bits.ToVector(),
+                (std::vector<std::size_t>{0, size - 1}));
+    }
+    bits.Reset(size - 1);
+    EXPECT_FALSE(bits.Test(size - 1));
+  }
+}
+
+TEST(DenseBitsetWordBoundary, ResizePreservesBitsAndZeroesTail) {
+  DenseBitset bits(65);
+  bits.Set(0);
+  bits.Set(63);
+  bits.Set(64);
+  bits.Resize(130);
+  EXPECT_TRUE(bits.Test(0));
+  EXPECT_TRUE(bits.Test(63));
+  EXPECT_TRUE(bits.Test(64));
+  EXPECT_EQ(bits.Count(), 3u);
+  EXPECT_EQ(bits.FindNext(65), 130u);  // grown tail is zero
+  bits.Set(129);
+  bits.Resize(64);  // shrink drops bits 64..129
+  EXPECT_EQ(bits.Count(), 2u);
+  bits.Resize(130);  // regrow re-exposes zeros, not stale bits
+  EXPECT_FALSE(bits.Test(64));
+  EXPECT_FALSE(bits.Test(129));
+  EXPECT_EQ(bits.Count(), 2u);
+  // Degenerate sizes.
+  DenseBitset empty(0);
+  EXPECT_TRUE(empty.None());
+  EXPECT_EQ(empty.Count(), 0u);
+  empty.Resize(1);
+  EXPECT_FALSE(empty.Test(0));
 }
 
 // ----------------------------------------------------------------- table
