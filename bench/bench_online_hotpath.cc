@@ -11,7 +11,9 @@
 //
 // Both checkers must agree on every accept/reject decision (the
 // optimization's bit-identical contract) — any disagreement, like a JSON
-// write failure, exits non-zero. `--smoke` runs reduced sizes for CI.
+// write failure, exits non-zero. So does a steady state that allocates:
+// more than kMaxSteadyAllocsPerOp heap allocations per operation at the
+// largest size. `--smoke` runs reduced sizes for CI.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -56,6 +58,11 @@ void operator delete[](void* ptr, std::size_t) noexcept { std::free(ptr); }
 namespace relser {
 namespace {
 
+// Allocation gate on the optimized checker's steady state (second half
+// of the feed) at the largest size. What remains there is amortized
+// growth of workload-sized containers, well under this bound.
+constexpr double kMaxSteadyAllocsPerOp = 0.25;
+
 struct Workload {
   TransactionSet txns;
   AtomicitySpec spec;
@@ -67,8 +74,8 @@ struct Workload {
 
 Workload MakeWorkload(std::size_t target_ops, std::uint64_t seed) {
   Workload wl;
-  // Bound the transaction count: the checker retains one ancestor array
-  // per live transaction (O(T^2) words total), and realistic certifier
+  // Bound the transaction count: the spec holds O(T^2) words and each
+  // retained ancestor row up to T entries, and realistic certifier
   // deployments recycle transaction slots rather than growing without
   // bound. Longer transactions take over past ~16k ops.
   wl.txn_count = std::min<std::size_t>(std::max<std::size_t>(
@@ -303,6 +310,14 @@ int Run(bool smoke) {
       json.Null();
     }
     json.EndObject();
+    if (target == sizes.back() &&
+        opt_feed.steady_allocs_per_op > kMaxSteadyAllocsPerOp) {
+      std::fprintf(stderr,
+                   "FAIL: %.3f steady allocs/op at size %zu (gate %.2f)\n",
+                   opt_feed.steady_allocs_per_op, target,
+                   kMaxSteadyAllocsPerOp);
+      ok = false;
+    }
   }
   json.EndArray();
   json.Key("speedup_at_largest_common_size");

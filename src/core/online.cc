@@ -1,6 +1,7 @@
 #include "core/online.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "core/explain.h"
 #include "core/rsg.h"
@@ -27,6 +28,7 @@ OnlineRsrChecker::OnlineRsrChecker(const TransactionSet& txns,
                                kMinJournalEntries)) {
   RELSER_CHECK_MSG(spec.ValidateAgainst(txns).ok(),
                    "specification does not match the transaction set");
+  free_head_.fill(kNoSlot);
   // Steady-state arc volume per op is bounded by the frontier size plus
   // one F/B pair per ancestor transaction; reserve generously once.
   arc_buf_.reserve(64);
@@ -34,6 +36,7 @@ OnlineRsrChecker::OnlineRsrChecker(const TransactionSet& txns,
   pred_buf_.reserve(32);
   feed_log_.reserve(indexer_.total_ops());
   pending_memos_.reserve(txn_count_);
+  scratch_txns_.reserve(txn_count_);
   topo_.Reserve(4 * indexer_.total_ops());
   topo_.set_journaling(true);
   // Pre-size the adjacency arena; together with the per-object
@@ -56,41 +59,43 @@ std::uint32_t OnlineRsrChecker::ObjIndex(ObjectId object) {
   return *slot;
 }
 
-std::uint32_t OnlineRsrChecker::AcquireSlot(std::size_t gid) {
-  std::uint32_t slot;
-  if (!free_slots_.empty()) {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
+std::uint32_t OnlineRsrChecker::AcquireSlot(std::size_t gid,
+                                            std::uint32_t size) {
+  // Capacity classes 1 << cls, at least 4 entries.
+  const auto cls =
+      static_cast<std::uint32_t>(std::bit_width(std::max(size, 4u) - 1));
+  std::uint32_t slot = free_head_[cls];
+  if (slot != kNoSlot) {
+    free_head_[cls] = rows_[slot].next_free;
   } else {
-    slot = static_cast<std::uint32_t>(slot_owner_.size());
+    slot = static_cast<std::uint32_t>(rows_.size());
+    rows_.push_back({slab_.size(), 0, cls, kNoSlot});
     slot_owner_.push_back(kNoGid);
-    pool_.resize(pool_.size() + txn_count_);
+    slab_.resize(slab_.size() + (std::size_t{1} << cls));
   }
+  rows_[slot].size = size;
   slot_owner_[slot] = gid;
   slot_of_[gid] = slot;
   return slot;
+}
+
+void OnlineRsrChecker::FreeSlot(std::uint32_t slot) {
+  slot_owner_[slot] = kNoGid;
+  Row& row = rows_[slot];
+  row.next_free = free_head_[row.cls];
+  free_head_[row.cls] = slot;
 }
 
 void OnlineRsrChecker::ReleaseSlotIfAny(std::size_t gid) {
   const std::uint32_t slot = slot_of_[gid];
   if (slot == kNoSlot || flags_[gid] != 0) return;
   slot_of_[gid] = kNoSlot;
-  slot_owner_[slot] = kNoGid;
-  free_slots_.push_back(slot);
-  // A rollback may hand the row back to `gid`, so its contents are held
-  // until the journal start passes this append — as (txn, value) pairs:
-  // rows are sparse (a few nonzero entries out of txn_count_), so the
-  // slot itself is reused at once.
-  const std::uint32_t* row = &pool_[static_cast<std::size_t>(slot) *
-                                    txn_count_];
-  std::uint32_t held = 0;
-  for (std::size_t t = 0; t < txn_count_; ++t) {
-    if (row[t] != 0) {
-      held_rows_.push_back({static_cast<std::uint32_t>(t), row[t]});
-      ++held;
-    }
-  }
-  changes_.push_back({gid, held, ChangeKind::kRelease});
+  // A rollback may hand the row back to `gid`, so its entries are held
+  // until the journal start passes this append; the slot itself is
+  // reused at once.
+  for (const AncEntry& entry : Entries(slot)) held_rows_.push_back(entry);
+  changes_.push_back({gid, rows_[slot].size, ChangeKind::kRelease});
+  FreeSlot(slot);
 }
 
 void OnlineRsrChecker::DropFlag(std::size_t gid, std::uint8_t bit) {
@@ -103,6 +108,23 @@ void OnlineRsrChecker::ClearSafe(TxnId txn) {
   if (safe_[txn] == 0) return;
   changes_.push_back({txn, 1, ChangeKind::kSafe});
   safe_[txn] = 0;
+}
+
+void OnlineRsrChecker::ClearScratch() {
+  for (const TxnId t : scratch_txns_) scratch_anc_[t] = 0;
+  scratch_txns_.clear();
+}
+
+void OnlineRsrChecker::SeedScratch(const Operation& op, std::size_t gid) {
+  ClearScratch();
+  if (op.index == 0) return;
+  const std::uint32_t prev_slot = slot_of_[gid - 1];
+  RELSER_DCHECK(prev_slot != kNoSlot);
+  for (const AncEntry& entry : Entries(prev_slot)) {
+    scratch_anc_[entry.txn] = entry.max_p1;
+    scratch_txns_.push_back(entry.txn);
+  }
+  RaiseScratch(op.txn, op.index);  // the previous op itself
 }
 
 void OnlineRsrChecker::OpenRecord() {
@@ -123,17 +145,7 @@ AdmitResult OnlineRsrChecker::TryAppend(const Operation& op) {
   const TxnId j = op.txn;
   OpenRecord();
 
-  // Seed the scratch ancestor array from the previous op of the same
-  // transaction (ancestor arrays are cumulative along program order).
-  if (op.index > 0) {
-    const std::uint32_t prev_slot = slot_of_[gid - 1];
-    RELSER_DCHECK(prev_slot != kNoSlot);
-    const std::uint32_t* prev = &pool_[prev_slot * txn_count_];
-    std::copy(prev, prev + txn_count_, scratch_anc_.begin());
-    scratch_anc_[j] = std::max(scratch_anc_[j], op.index);  // prev op itself
-  } else {
-    std::fill(scratch_anc_.begin(), scratch_anc_.end(), 0);
-  }
+  SeedScratch(op, gid);
 
   // Direct cross-transaction predecessors: the conflicting members of the
   // object's conflict frontier (last writer + readers since it). Every
@@ -174,21 +186,23 @@ AdmitResult OnlineRsrChecker::TryAppend(const Operation& op) {
     const Operation& pred_op = indexer_.Op(pred);
     const std::uint32_t pred_slot = slot_of_[pred];
     RELSER_DCHECK(pred_slot != kNoSlot);
-    const std::uint32_t* panc = &pool_[pred_slot * txn_count_];
-    for (std::size_t t = 0; t < txn_count_; ++t) {
-      scratch_anc_[t] = std::max(scratch_anc_[t], panc[t]);
+    for (const AncEntry& entry : Entries(pred_slot)) {
+      RaiseScratch(entry.txn, entry.max_p1);
     }
-    scratch_anc_[pred_op.txn] =
-        std::max(scratch_anc_[pred_op.txn], pred_op.index + 1);
+    RaiseScratch(pred_op.txn, pred_op.index + 1);
   }
+  // Ascending txn order, whatever the merge order was: the arc order
+  // below decides the Pearce-Kelly order and hence which arc a rejection
+  // names.
+  std::sort(scratch_txns_.begin(), scratch_txns_.end());
 
   // F/B arcs, memoized per (ancestor txn, this txn): re-evaluate only when
   // the maximum ancestor index grew; emit only arcs not already implied
   // transitively (docs/hotpath.md, Lemmas 2-3).
   pending_memos_.clear();
-  for (TxnId i = 0; i < txn_count_; ++i) {
+  for (const TxnId i : scratch_txns_) {
+    if (i == j) continue;
     const std::uint32_t u_p1 = scratch_anc_[i];
-    if (u_p1 == 0 || i == j) continue;
     const std::uint64_t key = MemoKey(i, j);
     MemoEntry memo;
     if (const MemoEntry* found = memo_.Find(key)) memo = *found;
@@ -266,9 +280,9 @@ AdmitResult OnlineRsrChecker::TryAppend(const Operation& op) {
   // itself), so clearing exactly those bits maintains the invariant that
   // safe_[t] == 1 implies no cross-transaction arc touches t's nodes.
   bool cross = false;
-  for (std::size_t t = 0; t < txn_count_; ++t) {
-    if (t != j && scratch_anc_[t] != 0) {
-      ClearSafe(static_cast<TxnId>(t));
+  for (const TxnId t : scratch_txns_) {
+    if (t != j) {
+      ClearSafe(t);
       cross = true;
     }
   }
@@ -307,16 +321,14 @@ AdmitResult OnlineRsrChecker::TryAppendIsolated(const Operation& op) {
   OpenRecord();
 
   // Guaranteed accept: j's nodes carry no cross-transaction arcs
-  // (safe_), the frontier contributes no D-arc and the ancestor array
+  // (safe_), the frontier contributes no D-arc and the ancestor row
   // has no cross entries, so no F/B arc is due — the only emission is
   // the program-order I-arc into the fresh sink node `gid`, which
-  // cannot close a cycle. The F/B memo scan is skipped entirely.
+  // cannot close a cycle. The F/B memo scan is skipped entirely. The
+  // seeded scratch holds at most j's own entry, so it is sorted.
+  SeedScratch(op, gid);
+  RELSER_DCHECK(scratch_txns_.size() <= 1);
   if (op.index > 0) {
-    const std::uint32_t prev_slot = slot_of_[gid - 1];
-    RELSER_DCHECK(prev_slot != kNoSlot);
-    const std::uint32_t* prev = &pool_[prev_slot * txn_count_];
-    std::copy(prev, prev + txn_count_, scratch_anc_.begin());
-    scratch_anc_[j] = std::max(scratch_anc_[j], op.index);
     const IncrementalTopology::AddResult added = topo_.AddEdge(gid - 1, gid);
     RELSER_CHECK(added != IncrementalTopology::AddResult::kCycle);
     ++arcs_submitted_;
@@ -334,8 +346,6 @@ AdmitResult OnlineRsrChecker::TryAppendIsolated(const Operation& op) {
                            tracer_->tick());
       }
     }
-  } else {
-    std::fill(scratch_anc_.begin(), scratch_anc_.end(), 0);
   }
   CommitOp(op, gid, obj_idx);
   return AdmitResult::Accept(j);
@@ -349,9 +359,10 @@ void OnlineRsrChecker::CommitOp(const Operation& op, std::size_t gid,
   record.obj_created = obj_idx == kNoObj;
   if (record.obj_created) obj_idx = ObjIndex(op.object);
   record.obj_idx = obj_idx;
-  const std::uint32_t slot = AcquireSlot(gid);
-  std::copy(scratch_anc_.begin(), scratch_anc_.end(),
-            &pool_[slot * txn_count_]);
+  const std::uint32_t slot =
+      AcquireSlot(gid, static_cast<std::uint32_t>(scratch_txns_.size()));
+  AncEntry* row = RowData(slot);
+  for (const TxnId t : scratch_txns_) *row++ = {t, scratch_anc_[t]};
   flags_[gid] = static_cast<std::uint8_t>(kNewestFlag | kFrontierFlag);
   if (op.index > 0) DropFlag(gid - 1, kNewestFlag);
   newest_gid_[j] = gid;
@@ -445,12 +456,9 @@ void OnlineRsrChecker::UndoAppend(const AppendRecord& record) {
         break;
       case ChangeKind::kRelease: {
         // Which slot the row lands in is allocation history, not state.
-        const std::uint32_t slot = AcquireSlot(change.id);
-        std::uint32_t* row = &pool_[static_cast<std::size_t>(slot) *
-                                    txn_count_];
-        std::fill(row, row + txn_count_, 0u);
-        for (std::uint32_t k = 0; k < change.value; ++k) {
-          row[held_rows_.back().first] = held_rows_.back().second;
+        AncEntry* row = RowData(AcquireSlot(change.id, change.value));
+        for (std::uint32_t k = change.value; k-- > 0;) {
+          row[k] = held_rows_.back();
           held_rows_.pop_back();
         }
         break;
@@ -465,10 +473,8 @@ void OnlineRsrChecker::UndoAppend(const AppendRecord& record) {
     changes_.pop_back();
   }
   flags_[gid] = 0;
-  const std::uint32_t slot = slot_of_[gid];
+  FreeSlot(slot_of_[gid]);
   slot_of_[gid] = kNoSlot;
-  slot_owner_[slot] = kNoGid;
-  free_slots_.push_back(slot);
   while (memo_undo_.end() > record.memo_mark) {
     const MemoUndo& undo = memo_undo_.back();
     if (undo.existed) {
@@ -541,9 +547,11 @@ void OnlineRsrChecker::ResetAndReplay() {
   std::fill(flags_.begin(), flags_.end(), std::uint8_t{0});
   std::fill(slot_of_.begin(), slot_of_.end(), kNoSlot);
   std::fill(newest_gid_.begin(), newest_gid_.end(), kNoGid);
-  pool_.clear();
-  free_slots_.clear();
-  slot_owner_.clear();
+  free_head_.fill(kNoSlot);
+  for (std::uint32_t slot = static_cast<std::uint32_t>(rows_.size());
+       slot-- > 0;) {
+    FreeSlot(slot);
+  }
   object_index_.Clear();
   objects_.clear();
   memo_.Clear();
@@ -629,9 +637,11 @@ std::uint64_t OnlineRsrChecker::StateDigest() const {
     if (slot == kNoSlot) continue;
     mix(gid);
     mix(flags_[gid]);
-    const std::uint32_t* row = &pool_[static_cast<std::size_t>(slot) *
-                                      txn_count_];
-    for (std::size_t t = 0; t < txn_count_; ++t) mix(row[t]);
+    mix(rows_[slot].size);
+    for (const AncEntry& entry : Entries(slot)) {
+      mix(entry.txn);
+      mix(entry.max_p1);
+    }
   }
   // F/B memo, sorted by key (FlatMap64 iteration order is capacity-
   // dependent).

@@ -17,11 +17,13 @@
 // bitset and emitting a D/F/B arc triple per transitive ancestor (the
 // original formulation, preserved in core/online_baseline.h), the checker
 // keeps per object only the conflict frontier (last writer + readers
-// since it), per operation a dense per-transaction maximum-ancestor-index
-// array drawn from a reusable pool, and per transaction pair a memo of
-// the furthest F/B arcs already emitted. Dominated arcs are never
+// since it), per operation a sparse row of (transaction, maximum ancestor
+// index) entries drawn from a recycling slab, and per transaction pair a
+// memo of the furthest F/B arcs already emitted. Dominated arcs are never
 // inserted; docs/hotpath.md proves the transitive closure — and therefore
 // every accept/reject decision — is bit-identical to the full emission.
+// An append costs time in the ancestor transactions it has plus its
+// object's frontier, not in the transaction count.
 // Aborts take one path, RemoveTransactionExact, used by the admitter's
 // abort/cascade machinery and the simulator's RSGT scheduler alike: the
 // post-abort state is bit-identical (StateDigest, and the topological
@@ -38,8 +40,10 @@
 #ifndef RELSER_CORE_ONLINE_H_
 #define RELSER_CORE_ONLINE_H_
 
+#include <array>
 #include <atomic>
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -94,11 +98,11 @@ class OnlineRsrChecker {
   /// transaction with no executed operation is a no-op.
   ///
   /// Cost. Every accepted append is journaled (memo upserts, cleared safe
-  /// bits and flags, pool-row acquire/release, frontier changes, object
+  /// bits and flags, ancestor-row acquire/release, frontier changes, object
   /// creation, executed/feed bookkeeping, and the topology's edges and
   /// Pearce-Kelly moves). The journal starts at the first feed position
-  /// whose transaction is still incomplete; the nonzero entries of rows
-  /// released after that point are held until the start moves past them.
+  /// whose transaction is still incomplete; the entries of rows released
+  /// after that point are held until the start moves past them.
   /// A budget of 32 entries per operation of the transaction set (at
   /// least 2^14) caps it: past that, the start moves on regardless. When
   /// the victim's first operation lies inside the journal, the abort
@@ -136,7 +140,7 @@ class OnlineRsrChecker {
 
   /// Retained-state gauges for long-lived memory accounting
   /// (bench_longlived): accepted operations currently remembered,
-  /// ancestor-array pool rows allocated, and F/B memo entries.
+  /// ancestor-row slots allocated in the slab, and F/B memo entries.
   std::size_t retained_ops() const { return feed_log_.size(); }
   std::size_t pool_rows() const { return slot_owner_.size(); }
   std::size_t memo_entries() const { return memo_.size(); }
@@ -235,18 +239,55 @@ class OnlineRsrChecker {
     return static_cast<std::uint64_t>(i) * txn_count_ + j;
   }
 
+  /// One entry of a sparse ancestor row: a transaction with an ancestor
+  /// of the row's operation, and its +1-encoded maximum ancestor index.
+  struct AncEntry {
+    std::uint32_t txn;
+    std::uint32_t max_p1;
+  };
+  /// A slab slot: `size` entries, sorted by txn, in a block of 1 << cls
+  /// entries starting at slab_[begin]. A free slot links to the next
+  /// free slot of its class through `next_free`.
+  struct Row {
+    std::size_t begin;
+    std::uint32_t size;
+    std::uint32_t cls;
+    std::uint32_t next_free;
+  };
+
   std::uint32_t ObjIndex(ObjectId object);
-  std::uint32_t AcquireSlot(std::size_t gid);
+  /// Binds a slot with room for `size` entries to `gid` (reusing a free
+  /// block of the smallest fitting class) and sets its size.
+  std::uint32_t AcquireSlot(std::size_t gid, std::uint32_t size);
+  AncEntry* RowData(std::uint32_t slot) { return &slab_[rows_[slot].begin]; }
+  std::span<const AncEntry> Entries(std::uint32_t slot) const {
+    return {slab_.data() + rows_[slot].begin, rows_[slot].size};
+  }
   void ReleaseSlotIfAny(std::size_t gid);
+  /// Pushes `slot` onto its class's free list.
+  void FreeSlot(std::uint32_t slot);
+  /// Zeroes the scratch entries the previous append set.
+  void ClearScratch();
+  /// scratch_anc_[t] = max(scratch_anc_[t], max_p1), recording t in
+  /// scratch_txns_ when its entry becomes nonzero.
+  void RaiseScratch(TxnId t, std::uint32_t max_p1) {
+    std::uint32_t& cur = scratch_anc_[t];
+    if (max_p1 <= cur) return;
+    if (cur == 0) scratch_txns_.push_back(t);
+    cur = max_p1;
+  }
+  /// Clears the scratch and seeds it from the row of `op`'s program-order
+  /// predecessor (ancestor rows are cumulative along program order).
+  void SeedScratch(const Operation& op, std::size_t gid);
   /// Clears `bit` in flags_[gid] (journaled) and releases its row if no
   /// retention claim is left.
   void DropFlag(std::size_t gid, std::uint8_t bit);
   /// Clears safe_[txn] (journaled).
   void ClearSafe(TxnId txn);
-  /// Shared commit tail of TryAppend / TryAppendIsolated: persists
-  /// scratch_anc_ into the slot pool and updates retention flags, the
-  /// object frontier and executed bookkeeping. `obj_idx` is kNoObj when
-  /// the object has no state yet.
+  /// Shared commit tail of TryAppend / TryAppendIsolated: persists the
+  /// scratch (scratch_txns_ sorted) as `gid`'s row and updates retention
+  /// flags, the object frontier and executed bookkeeping. `obj_idx` is
+  /// kNoObj when the object has no state yet.
   void CommitOp(const Operation& op, std::size_t gid, std::uint32_t obj_idx);
 
   // ---- Undo journal (RemoveTransactionExact's rollback path) ----
@@ -266,8 +307,8 @@ class OnlineRsrChecker {
   };
   enum class ChangeKind : std::uint8_t {
     kFlags,    // flags_[id] was `value`
-    kRelease,  // gid `id`'s row released; its `value` nonzero entries
-               // are the newest held_rows_ pairs
+    kRelease,  // gid `id`'s row released; its `value` entries are the
+               // newest held_rows_ entries
     kSafe,     // safe_[id] was 1
     kReader,   // gid `id` was a frontier reader of the record's object
   };
@@ -306,14 +347,17 @@ class OnlineRsrChecker {
   std::vector<std::uint32_t> slot_of_;     // gid -> pool slot (kNoSlot)
   std::vector<std::size_t> newest_gid_;    // txn -> newest executed gid
 
-  // Ancestor-array pool: row `slot` holds txn_count_ +1-encoded maximum
-  // ancestor indices (0 = no ancestor in that transaction). Rows are
-  // retained only for operations that can still become direct
-  // predecessors: the newest executed op of each transaction and the
-  // current object frontiers.
-  std::vector<std::uint32_t> pool_;
-  std::vector<std::uint32_t> free_slots_;
+  // Ancestor rows: slot `s` lists, sorted by txn, the transactions with
+  // an ancestor of its operation and their +1-encoded maximum ancestor
+  // indices. Rows are retained only for operations that can still become
+  // direct predecessors: the newest executed op of each transaction and
+  // the current object frontiers. A slot's block keeps its capacity
+  // class for life and goes back to that class's free list on release;
+  // ResetAndReplay frees every slot but keeps the slab.
+  std::vector<AncEntry> slab_;
+  std::vector<Row> rows_;                // slot -> block
   std::vector<std::size_t> slot_owner_;  // slot -> gid (kNoGid when free)
+  std::array<std::uint32_t, 33> free_head_;  // class -> first free slot
 
   FlatMap64<std::uint32_t> object_index_;  // ObjectId -> objects_ index
   std::vector<ObjState> objects_;
@@ -321,7 +365,11 @@ class OnlineRsrChecker {
   FlatMap64<MemoEntry> memo_;
 
   // Reusable per-append scratch (no steady-state allocations).
+  // scratch_anc_ is dense (txn -> +1-encoded max ancestor index) but only
+  // the entries of scratch_txns_ are nonzero, so it is reset, scanned and
+  // persisted in O(entries).
   std::vector<std::uint32_t> scratch_anc_;
+  std::vector<TxnId> scratch_txns_;
   std::vector<std::size_t> pred_buf_;
   std::vector<std::pair<NodeId, NodeId>> arc_buf_;
   std::vector<std::uint8_t> arc_kind_buf_;  // parallel to arc_buf_ (tracing)
@@ -332,7 +380,7 @@ class OnlineRsrChecker {
 
   UndoLog<AppendRecord> records_;
   UndoLog<Change> changes_;
-  UndoLog<std::pair<std::uint32_t, std::uint32_t>> held_rows_;  // (txn, v)
+  UndoLog<AncEntry> held_rows_;
   UndoLog<MemoUndo> memo_undo_;
   AppendRecord open_record_;
   // Cap on journal entries (all logs together), past which the oldest

@@ -16,6 +16,7 @@
 #define RELSER_SPEC_ATOMICITY_SPEC_H_
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "model/operation.h"
@@ -103,15 +104,31 @@ class AtomicitySpec {
                          const AtomicitySpec& b) = default;
 
  private:
-  std::size_t PairSlot(TxnId i, TxnId j) const {
+  /// Atomicity(Ti, Tj)'s stride_[i] gap-bit words (past the end of
+  /// words_ when Ti has no gaps, so never dereferenced then).
+  const std::uint64_t* PairBits(TxnId i, TxnId j) const {
     RELSER_DCHECK(i < txn_count() && j < txn_count() && i != j);
-    return static_cast<std::size_t>(i) * txn_count() + j;
+    return words_.data() + row_word_[i] +
+           static_cast<std::size_t>(j) * stride_[i];
+  }
+  std::uint64_t* PairBits(TxnId i, TxnId j) {
+    return const_cast<std::uint64_t*>(std::as_const(*this).PairBits(i, j));
+  }
+  /// Number of gaps of Ti (|Ti| - 1, or 0 for an empty transaction).
+  std::uint32_t GapCount(TxnId i) const {
+    return txn_sizes_[i] == 0 ? 0
+                              : static_cast<std::uint32_t>(txn_sizes_[i] - 1);
   }
 
   std::vector<std::size_t> txn_sizes_;
-  // gaps_[PairSlot(i,j)][g] = true iff Atomicity(Ti,Tj) breaks after op g.
-  // Diagonal slots (i == j) exist but stay empty.
-  std::vector<std::vector<bool>> gaps_;
+  // Pair-major gap bits: Atomicity(Ti, Tj) occupies stride_[i] words from
+  // PairBits(i, j); bit g set iff it breaks after op g. stride_[i] is the
+  // word count of Ti's gaps, and the pairs of Ti lie consecutively from
+  // row_word_[i], so the whole spec is one allocation. Diagonal pairs
+  // (i == j) and every bit at or past GapCount(i) stay zero.
+  std::vector<std::uint32_t> stride_;
+  std::vector<std::size_t> row_word_;
+  std::vector<std::uint64_t> words_;
 };
 
 }  // namespace relser

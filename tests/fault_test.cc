@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <numeric>
 #include <optional>
 #include <thread>
 #include <vector>
@@ -16,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include "core/online.h"
+#include "core/online_baseline.h"
 #include "exec/faultplan.h"
 #include "model/schedule.h"
 #include "model/text.h"
@@ -282,6 +284,111 @@ TEST(FaultTest, ExactAbortIsBitIdenticalToRebuild) {
   }
   EXPECT_GT(rollbacks, 0u) << "the journal rollback path never ran";
   EXPECT_GT(full_replays, 0u) << "the full-replay fallback never ran";
+}
+
+// 1,200 transactions in 60 groups of 20 whose ids are scattered over the
+// whole range; a group's transactions share 4 objects and arrive
+// together. An operation's ancestors are therefore group members with
+// non-adjacent ids across many 64-id words, so its sparse ancestor row
+// is far from contiguous. On a feed without aborts every decision must
+// equal the Definition 3 baseline's. Then open transactions are aborted:
+// each rollback undoes appends that released ancestor rows (the
+// released entries come back from the journal), and the restored digest
+// and topological order must equal a rebuilt checker's, as must every
+// later decision.
+TEST(FaultTest, WideSparseRowsMatchBaselineAndRebuild) {
+  constexpr std::size_t kTxns = 1200;
+  constexpr std::size_t kGroupSize = 20;
+  constexpr std::size_t kGroupObjects = 4;
+  Rng rng(0x5A45E);
+  std::vector<TxnId> arrival(kTxns);
+  std::iota(arrival.begin(), arrival.end(), TxnId{0});
+  std::shuffle(arrival.begin(), arrival.end(), rng);
+  std::vector<std::size_t> group_of(kTxns);
+  for (std::size_t k = 0; k < kTxns; ++k) group_of[arrival[k]] = k / kGroupSize;
+  TransactionSet txns;
+  txns.AddObjects(kTxns / kGroupSize * kGroupObjects);
+  for (TxnId t = 0; t < kTxns; ++t) {
+    Transaction* txn = txns.AddTransaction();
+    const std::size_t ops = 2 + rng.UniformIndex(2);
+    for (std::size_t k = 0; k < ops; ++k) {
+      const auto object = static_cast<ObjectId>(
+          group_of[t] * kGroupObjects + rng.UniformIndex(kGroupObjects));
+      if (rng.Bernoulli(0.5)) {
+        txn->Read(object);
+      } else {
+        txn->Write(object);
+      }
+    }
+  }
+  const AtomicitySpec spec = RandomSpec(txns, 0.5, &rng);
+  OnlineRsrChecker checker(txns, spec);
+  OnlineRsrCheckerBaseline baseline(txns, spec);
+  Tracer tracer(TraceLevel::kCounters);
+  checker.set_tracer(&tracer);
+
+  constexpr std::size_t kWindow = 8;
+  std::vector<std::uint32_t> next_op(kTxns, 0);
+  std::deque<TxnId> open;
+  std::size_t arrived = 0;
+  std::vector<TxnId> incomplete;  // rejected, then open at the end
+  while (arrived < arrival.size()) {
+    while (open.size() < kWindow && arrived < arrival.size()) {
+      open.push_back(arrival[arrived++]);
+    }
+    const TxnId t = open.front();
+    open.pop_front();
+    const Operation& op = txns.txn(t).op(next_op[t]);
+    const bool accepted = checker.TryAppend(op).ok();
+    ASSERT_EQ(accepted, baseline.TryAppend(op))
+        << "T" << t + 1 << " op " << op.index;
+    if (!accepted) {
+      incomplete.push_back(t);  // dropped, never completes
+    } else if (++next_op[t] < txns.txn(t).size()) {
+      open.push_back(t);
+    }
+  }
+  EXPECT_GT(incomplete.size(), 10u);
+
+  // Victims: incomplete transactions with a write that is still its
+  // object's frontier writer. That write released the rows of the
+  // object's earlier frontier; without it those operations stay on the
+  // frontier, so the rows the rollback restores stay in the state the
+  // digest covers. The newest six, so no rollback spans most of the feed.
+  incomplete.insert(incomplete.end(), open.begin(), open.end());
+  std::vector<TxnId> victims;
+  for (auto it = incomplete.rbegin();
+       it != incomplete.rend() && victims.size() < 6; ++it) {
+    for (std::uint32_t k = 0; k < next_op[*it]; ++k) {
+      const Operation& op = txns.txn(*it).op(k);
+      if (op.is_write() && checker.FrontierWriterGid(op.object) ==
+                               checker.indexer().GlobalId(op)) {
+        victims.push_back(*it);
+        break;
+      }
+    }
+  }
+  ASSERT_EQ(victims.size(), 6u);
+  ShadowChecker shadow(txns, spec);
+  for (const TxnId victim : victims) {
+    checker.RemoveTransactionExact(victim);
+    std::erase(open, victim);
+    ASSERT_EQ(checker.StateDigest(), RebuiltDigest(txns, spec, checker))
+        << "after aborting T" << victim + 1;
+    shadow.Reset(checker, 0);
+  }
+  EXPECT_GT(tracer.counters().abort_replayed_ops, 0u);
+  EXPECT_EQ(tracer.counters().abort_full_replays, 0u)
+      << "every abort should roll the journal back";
+  // Finish the survivors; the rebuilt shadow must decide alike.
+  while (!open.empty()) {
+    const TxnId t = open.front();
+    open.pop_front();
+    const Operation& op = txns.txn(t).op(next_op[t]);
+    const AdmitResult result = checker.TryAppend(op);
+    shadow.Mirror(op, result, 0);
+    if (result.ok() && ++next_op[t] < txns.txn(t).size()) open.push_back(t);
+  }
 }
 
 // A voluntary abort must cascade to live transactions that read the

@@ -95,6 +95,106 @@ TEST(AtomicitySpec, PushPullConsistentWithUnitOfOpOnRandomSpecs) {
   }
 }
 
+// Transactions of 1 to 130 ops, so a pair's gaps span zero to three
+// 64-bit words and unit boundaries fall on both sides of each word edge.
+// Every query must equal a brute-force scan of HasBreakpoint, at sparse,
+// half and dense breakpoint densities.
+TEST(AtomicitySpec, WordBoundaryQueriesMatchBruteForceScan) {
+  const std::vector<std::uint32_t> sizes = {1, 2, 63, 64, 65, 66, 129, 130};
+  TransactionSet txns;
+  txns.AddObjects(1);
+  for (const std::uint32_t size : sizes) {
+    Transaction* txn = txns.AddTransaction();
+    for (std::uint32_t k = 0; k < size; ++k) txn->Read(0);
+  }
+  const auto n = static_cast<TxnId>(sizes.size());
+  Rng rng(0xB0DA);
+  for (const double density : {0.05, 0.5, 0.95}) {
+    SCOPED_TRACE(density);
+    AtomicitySpec spec(txns);
+    std::size_t set = 0;
+    for (TxnId i = 0; i < n; ++i) {
+      for (TxnId j = 0; j < n; ++j) {
+        for (std::uint32_t g = 0; i != j && g + 1 < sizes[i]; ++g) {
+          if (rng.Bernoulli(density)) {
+            spec.SetBreakpoint(i, j, g);
+            ++set;
+          }
+        }
+      }
+    }
+    AtomicitySpec rebuilt(txns);
+    std::size_t scanned = 0;
+    for (TxnId i = 0; i < n; ++i) {
+      for (TxnId j = 0; j < n; ++j) {
+        if (i == j) continue;
+        std::vector<UnitRange> units;
+        std::uint32_t first = 0;
+        for (std::uint32_t g = 0; g + 1 < sizes[i]; ++g) {
+          if (!spec.HasBreakpoint(i, j, g)) continue;
+          rebuilt.SetBreakpoint(i, j, g);
+          ++scanned;
+          units.push_back(UnitRange{first, g});
+          first = g + 1;
+        }
+        units.push_back(UnitRange{first, sizes[i] - 1});
+        ASSERT_EQ(spec.Units(i, j), units) << "T" << i + 1 << " / T" << j + 1;
+        EXPECT_EQ(spec.UnitCount(i, j), units.size());
+        for (std::size_t u = 0; u < units.size(); ++u) {
+          for (std::uint32_t k = units[u].first; k <= units[u].last; ++k) {
+            EXPECT_EQ(spec.PushForward(i, j, k), units[u].last) << k;
+            EXPECT_EQ(spec.PullBackward(i, j, k), units[u].first) << k;
+            EXPECT_EQ(spec.UnitOfOp(i, j, k), u) << k;
+          }
+        }
+      }
+    }
+    EXPECT_EQ(scanned, set);
+    EXPECT_EQ(spec.TotalBreakpoints(), set);
+    EXPECT_EQ(spec.IsAbsolute(), set == 0);
+    EXPECT_EQ(spec, rebuilt);
+    EXPECT_TRUE(spec.AtLeastAsPermissiveAs(rebuilt));
+    EXPECT_TRUE(rebuilt.AtLeastAsPermissiveAs(spec));
+
+    // One gap flipped at each side of T8's (130 ops) word edges, as seen
+    // by T7: a strict order in one direction, and no longer equal.
+    for (const std::uint32_t gap : {0u, 62u, 63u, 64u, 127u, 128u}) {
+      AtomicitySpec flipped = spec;
+      const bool had = spec.HasBreakpoint(7, 6, gap);
+      if (had) {
+        flipped.ClearBreakpoint(7, 6, gap);
+      } else {
+        flipped.SetBreakpoint(7, 6, gap);
+      }
+      EXPECT_NE(flipped, spec) << gap;
+      EXPECT_EQ(flipped.TotalBreakpoints(), had ? set - 1 : set + 1);
+      const AtomicitySpec& more = had ? spec : flipped;
+      const AtomicitySpec& fewer = had ? flipped : spec;
+      EXPECT_TRUE(more.AtLeastAsPermissiveAs(fewer)) << gap;
+      EXPECT_FALSE(fewer.AtLeastAsPermissiveAs(more)) << gap;
+    }
+  }
+
+  // RelaxFully sets exactly the gaps of the pair, never past the last.
+  AtomicitySpec relaxed(txns);
+  std::size_t gaps = 0;
+  for (TxnId i = 0; i < n; ++i) {
+    for (TxnId j = 0; j < n; ++j) {
+      if (i == j) continue;
+      relaxed.RelaxFully(i, j);
+      gaps += sizes[i] - 1;
+      EXPECT_EQ(relaxed.UnitCount(i, j), sizes[i]);
+      for (std::uint32_t k = 0; k < sizes[i]; ++k) {
+        EXPECT_EQ(relaxed.PushForward(i, j, k), k);
+        EXPECT_EQ(relaxed.PullBackward(i, j, k), k);
+        EXPECT_EQ(relaxed.UnitOfOp(i, j, k), k);
+      }
+    }
+  }
+  EXPECT_EQ(relaxed.TotalBreakpoints(), gaps);
+  EXPECT_EQ(relaxed, FullyRelaxedSpec(txns));
+}
+
 TEST(AtomicitySpec, RelaxFullyMakesSingletonUnits) {
   const TransactionSet txns = FourOpTxnPair();
   AtomicitySpec spec(txns);
