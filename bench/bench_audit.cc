@@ -361,7 +361,7 @@ int main(int argc, char** argv) {
   json.Key("pass");
   json.Bool(pass);
   json.EndObject();
-  if (!WriteBenchJsonFile("BENCH_audit.json", json.str(), tag)) {
+  if (!WriteBenchJsonFile("BENCH_audit.json", json.str(), smoke, tag)) {
     std::cerr << "failed to write BENCH_audit.json\n";
     return 1;
   }

@@ -330,7 +330,7 @@ int main(int argc, char** argv) {
   }
   json.EndArray();
   json.EndObject();
-  if (!WriteBenchJsonFile("BENCH_faults.json", json.str(), tag)) {
+  if (!WriteBenchJsonFile("BENCH_faults.json", json.str(), smoke, tag)) {
     std::cerr << "failed to write BENCH_faults.json\n";
     return 1;
   }

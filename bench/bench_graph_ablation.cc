@@ -227,7 +227,8 @@ int main(int argc, char** argv) {
       content << in.rdbuf();
       std::string text = content.str();
       while (!text.empty() && text.back() == '\n') text.pop_back();
-      relser::WriteBenchJsonFile("BENCH_graph_ablation.json", text);
+      relser::WriteBenchJsonFile("BENCH_graph_ablation.json", text,
+                                 /*smoke=*/false);
     }
   }
   return 0;

@@ -450,7 +450,7 @@ int main(int argc, char** argv) {
   }
   json.EndArray();
   json.EndObject();
-  if (!WriteBenchJsonFile("BENCH_mvcc.json", json.str(), tag)) {
+  if (!WriteBenchJsonFile("BENCH_mvcc.json", json.str(), smoke, tag)) {
     std::cerr << "failed to write BENCH_mvcc.json\n";
     return 1;
   }

@@ -326,7 +326,7 @@ int Run(bool smoke) {
   json.Uint(baseline_cap);
   json.EndObject();
 
-  if (!WriteBenchJsonFile("BENCH_online.json", json.str())) {
+  if (!WriteBenchJsonFile("BENCH_online.json", json.str(), smoke)) {
     std::fprintf(stderr, "FAIL: could not write BENCH_online.json\n");
     ok = false;
   } else {

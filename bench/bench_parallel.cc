@@ -370,7 +370,7 @@ int main(int argc, char** argv) {
   }
   json.EndArray();
   json.EndObject();
-  if (!WriteBenchJsonFile("BENCH_parallel.json", json.str(), tag)) {
+  if (!WriteBenchJsonFile("BENCH_parallel.json", json.str(), smoke, tag)) {
     std::cerr << "failed to write BENCH_parallel.json\n";
     return 1;
   }

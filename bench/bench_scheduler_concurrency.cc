@@ -107,7 +107,8 @@ int main() {
   json.EndObject();
   table.Print(std::cout);
   const bool json_ok =
-      WriteBenchJsonFile("BENCH_sched_concurrency.json", json.str());
+      WriteBenchJsonFile("BENCH_sched_concurrency.json", json.str(),
+                         /*smoke=*/false);
   std::cout << "\nguarantees: " << (all_guarantees ? "all held" : "VIOLATED")
             << "\n"
             << (json_ok ? "wrote" : "FAILED to write")

@@ -272,7 +272,7 @@ int main(int argc, char** argv) {
   }
   json.EndArray();
   json.EndObject();
-  if (!WriteBenchJsonFile("BENCH_sharded.json", json.str(), tag)) {
+  if (!WriteBenchJsonFile("BENCH_sharded.json", json.str(), smoke, tag)) {
     std::cerr << "failed to write BENCH_sharded.json\n";
     return 1;
   }

@@ -9,6 +9,12 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
+# The run must leave every tracked file as it found it; the closing
+# check compares against this diff (empty on a clean checkout).
+if git rev-parse --is-inside-work-tree > /dev/null 2>&1; then
+  tracked_diff_at_start=$(git diff)
+fi
+
 # Tier-1: a fresh default configure (Release, RELSER_WERROR=ON) exactly
 # as a contributor runs it — not a preset — so toolchain-specific
 # warnings in any target fail CI.
@@ -187,5 +193,15 @@ cmake --build --preset tsan -j"$(nproc)" \
  ./tools/audit --stream --no-witness - \
      < ci_audit/fig3_witness.jsonl > /dev/null && rc=0 || rc=$?
  [ "$rc" -eq 1 ])
+
+# Tracked files: a bench or tool that rewrites a committed file (a root
+# BENCH_*.json, say) fails CI here instead of passing silently. Outside
+# a git checkout there is nothing to compare.
+if [ -n "${tracked_diff_at_start+set}" ] &&
+   [ "$(git diff)" != "$tracked_diff_at_start" ]; then
+  echo "ci: the run modified tracked files:" >&2
+  git diff --stat >&2
+  exit 1
+fi
 
 echo "ci: all checks passed"

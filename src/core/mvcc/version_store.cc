@@ -15,6 +15,7 @@ VersionStore::VersionStore(const TransactionSet& txns)
       finished_(txns.txn_count()),
       escalated_(txns.txn_count()),
       heads_(txns.object_count(), 0),
+      multi_mark_(txns.object_count(), 0),
       chain_len_(txns.object_count(), 0) {
   reads_.offsets.push_back(0);
   writes_.offsets.push_back(0);
@@ -68,10 +69,24 @@ void VersionStore::NoteCommit(TxnId txn) {
         watermark_.fetch_add(1, std::memory_order_release) + 1;
     for (std::uint32_t i = begin; i < end; ++i) {
       const ObjectId obj = writes_.flat[i];
-      version_epoch_.push_back(epoch);
-      version_writer_.push_back(txn);
-      version_prev_.push_back(heads_[obj]);
-      heads_[obj] = static_cast<std::uint32_t>(version_epoch_.size());
+      std::uint32_t v = free_head_;  // 1 + slot index, 0 = none free
+      if (v != 0) {
+        free_head_ = version_prev_[v - 1];
+        --free_count_;
+        version_epoch_[v - 1] = epoch;
+        version_writer_[v - 1] = txn;
+        version_prev_[v - 1] = heads_[obj];
+      } else {
+        version_epoch_.push_back(epoch);
+        version_writer_.push_back(txn);
+        version_prev_.push_back(heads_[obj]);
+        v = static_cast<std::uint32_t>(version_epoch_.size());
+      }
+      if (heads_[obj] != 0 && multi_mark_[obj] == 0) {
+        multi_mark_[obj] = 1;
+        multi_.push_back(obj);
+      }
+      heads_[obj] = v;
       if (chain_len_[obj]++ == 0) ++objects_with_versions_;
       chain_hist_.Record(chain_len_[obj]);
       max_chain_ = std::max<std::uint64_t>(max_chain_, chain_len_[obj]);
@@ -101,6 +116,7 @@ void VersionStore::LogSnapshotAdmit(TxnId txn, std::uint64_t epoch,
   {
     std::lock_guard<std::mutex> lock(log_mutex_);
     admit_log_.push_back(SnapshotAdmitRecord{txn, epoch, stamp});
+    unsettled_admits_.push_back(SnapshotAdmitRecord{txn, epoch, stamp});
   }
   snapshot_admits_.fetch_add(1, std::memory_order_relaxed);
 }
@@ -142,52 +158,51 @@ std::uint64_t VersionStore::ChainLength(ObjectId object) const {
 
 std::uint64_t VersionStore::PruneBelow(std::uint64_t floor) {
   std::lock_guard<std::mutex> lock(arena_mutex_);
-  const std::size_t before = version_epoch_.size();
-  if (before == 0) return 0;
-  // Rebuild the arena compactly: per object, walk the chain newest-first
-  // and stop one version past the floor (that version is the resolution
-  // target of every floor-or-later snapshot; everything older is
-  // unreachable). Chains are strictly epoch-descending from the head, so
-  // the walk's suffix is exactly the dominated set.
-  std::vector<std::uint64_t> new_epoch;
-  std::vector<TxnId> new_writer;
-  std::vector<std::uint32_t> new_prev;
-  new_epoch.reserve(before);
-  new_writer.reserve(before);
-  new_prev.reserve(before);
-  for (ObjectId obj = 0; obj < heads_.size(); ++obj) {
-    prune_buf_.clear();
-    for (std::uint32_t v = heads_[obj]; v != 0; v = version_prev_[v - 1]) {
-      prune_buf_.push_back(v - 1);
-      if (version_epoch_[v - 1] <= floor) break;
+  // Only chains of two or more versions can hold a dominated one. Per
+  // such object, walk newest-first to the first version at or below the
+  // floor (the resolution target of every floor-or-later snapshot) and
+  // free everything older. Chains are strictly epoch-descending from
+  // the head, so the freed suffix is exactly the dominated set.
+  std::uint64_t pruned = 0;
+  std::size_t kept = 0;
+  for (const ObjectId obj : multi_) {
+    std::uint32_t v = heads_[obj];
+    while (version_epoch_[v - 1] > floor && version_prev_[v - 1] != 0) {
+      v = version_prev_[v - 1];
     }
-    std::uint32_t prev = 0;
-    for (auto it = prune_buf_.rbegin(); it != prune_buf_.rend(); ++it) {
-      new_epoch.push_back(version_epoch_[*it]);
-      new_writer.push_back(version_writer_[*it]);
-      new_prev.push_back(prev);
-      prev = static_cast<std::uint32_t>(new_epoch.size());
+    if (version_epoch_[v - 1] <= floor) {
+      for (std::uint32_t old = version_prev_[v - 1]; old != 0;) {
+        const std::uint32_t next = version_prev_[old - 1];
+        version_prev_[old - 1] = free_head_;
+        free_head_ = old;
+        ++free_count_;
+        ++pruned;
+        old = next;
+      }
+      version_prev_[v - 1] = 0;
     }
-    heads_[obj] = prev;
+    if (version_prev_[heads_[obj] - 1] != 0) {
+      multi_[kept++] = obj;
+    } else {
+      multi_mark_[obj] = 0;
+    }
   }
-  const std::uint64_t pruned =
-      static_cast<std::uint64_t>(before - new_epoch.size());
-  version_epoch_ = std::move(new_epoch);
-  version_writer_ = std::move(new_writer);
-  version_prev_ = std::move(new_prev);
+  multi_.resize(kept);
   versions_pruned_ += pruned;
   return pruned;
 }
 
 std::uint64_t VersionStore::SafePruneFloor(
-    const std::atomic<std::uint8_t>* settled) const {
+    const std::atomic<std::uint8_t>* settled) {
   std::uint64_t floor = watermark();
   std::lock_guard<std::mutex> lock(log_mutex_);
-  for (const SnapshotAdmitRecord& rec : admit_log_) {
-    if (settled[rec.txn].load(std::memory_order_relaxed) == 0 &&
-        rec.epoch < floor) {
-      floor = rec.epoch;
-    }
+  // Settling is monotone, so a settled admission never bounds a floor
+  // again: forget it, which keeps this walk to the unsettled ones.
+  std::erase_if(unsettled_admits_, [&](const SnapshotAdmitRecord& rec) {
+    return settled[rec.txn].load(std::memory_order_relaxed) != 0;
+  });
+  for (const SnapshotAdmitRecord& rec : unsettled_admits_) {
+    floor = std::min(floor, rec.epoch);
   }
   return floor;
 }
@@ -199,13 +214,13 @@ std::uint64_t VersionStore::versions_pruned() const {
 
 std::uint64_t VersionStore::retained_versions() const {
   std::lock_guard<std::mutex> lock(arena_mutex_);
-  return version_epoch_.size();
+  return version_epoch_.size() - free_count_;
 }
 
 VersionChainStats VersionStore::ChainStats() const {
   std::lock_guard<std::mutex> lock(arena_mutex_);
   VersionChainStats stats;
-  stats.versions = version_epoch_.size();
+  stats.versions = version_epoch_.size() - free_count_;
   stats.objects_with_versions = objects_with_versions_;
   stats.max_chain = max_chain_;
   stats.p50_chain = chain_hist_.Quantile(0.5);

@@ -41,10 +41,10 @@
 //     classifying reader acquires: once a reader observes zero for all
 //     its objects, every such writer's commit epoch is visible and is
 //     <= the watermark the reader subsequently loads.
-//   * The version arena is append-only SoA (epoch / writer / prev
-//     columns) guarded by one mutex; the epoch counter is bumped under
-//     the same mutex so per-object chains are strictly epoch-descending
-//     from the head.
+//   * The version arena is SoA (epoch / writer / prev columns) guarded
+//     by one mutex; pruned slots go on a free list that later versions
+//     reuse. The epoch counter is bumped under the same mutex so
+//     per-object chains are strictly epoch-descending from the head.
 #ifndef RELSER_CORE_MVCC_VERSION_STORE_H_
 #define RELSER_CORE_MVCC_VERSION_STORE_H_
 
@@ -109,11 +109,6 @@ class VersionStore {
   /// version, so readers need not wait on it). Idempotent; thread-safe.
   void NoteAbort(TxnId txn);
 
-  /// True iff NoteCommit/NoteAbort has run for `txn`.
-  bool TxnFinished(TxnId txn) const {
-    return finished_[txn].load(std::memory_order_acquire) != 0;
-  }
-
   /// Logs a snapshot admission (thread-safe) and bumps snapshot_admits.
   void LogSnapshotAdmit(TxnId txn, std::uint64_t epoch, std::uint64_t stamp);
 
@@ -139,10 +134,11 @@ class VersionStore {
   /// Committed versions of `object` so far.
   std::uint64_t ChainLength(ObjectId object) const;
 
-  /// Watermark GC: compacts every per-object chain to the versions still
+  /// Watermark GC: cuts every per-object chain to the versions still
   /// reachable by a snapshot at or above epoch `floor` — everything with
   /// epoch > floor plus the newest version with epoch <= floor (the one
-  /// a floor-or-later snapshot resolves to). VisibleWriter stays exact
+  /// a floor-or-later snapshot resolves to), walking only chains of two
+  /// or more versions. VisibleWriter stays exact
   /// for every epoch >= floor; epochs below the floor may resolve to the
   /// retained <=floor version instead of their historical one, so the
   /// caller must pass a floor no greater than any epoch it still queries
@@ -158,8 +154,9 @@ class VersionStore {
   /// admission epoch over UNSETTLED snapshot admissions (per `settled`,
   /// epoch/epoch.h's view), or the current watermark when none is
   /// pending — future readers admit at or above the watermark, and
-  /// settled readers are fully resolved.
-  std::uint64_t SafePruneFloor(const std::atomic<std::uint8_t>* settled) const;
+  /// settled readers are fully resolved. Forgets the admissions it finds
+  /// settled, so it walks only those not yet seen settled.
+  std::uint64_t SafePruneFloor(const std::atomic<std::uint8_t>* settled);
 
   /// Cumulative versions dropped by PruneBelow.
   std::uint64_t versions_pruned() const;
@@ -195,22 +192,27 @@ class VersionStore {
   std::vector<std::atomic<std::uint8_t>> escalated_;
 
   // Version arena (SoA columns), mutex-guarded; heads_[obj] is
-  // 1 + index of the newest version (0 = none).
+  // 1 + index of the newest version (0 = none). A freed slot links to
+  // the next free one through version_prev_.
   mutable std::mutex arena_mutex_;
   std::vector<std::uint32_t> heads_;
   std::vector<std::uint64_t> version_epoch_;
   std::vector<TxnId> version_writer_;
   std::vector<std::uint32_t> version_prev_;
+  std::uint32_t free_head_ = 0;  // 1 + first free slot, 0 = none
+  std::uint64_t free_count_ = 0;
+  // Objects whose chain holds two or more versions (PruneBelow's work).
+  std::vector<ObjectId> multi_;
+  std::vector<std::uint8_t> multi_mark_;
   std::vector<std::uint32_t> chain_len_;
   LatencyHistogram chain_hist_;  // samples are chain lengths, not ns
   std::uint64_t max_chain_ = 0;
   std::uint64_t objects_with_versions_ = 0;
   std::uint64_t versions_pruned_ = 0;
-  // PruneBelow scratch (chain indices, newest first).
-  std::vector<std::uint32_t> prune_buf_;
 
   mutable std::mutex log_mutex_;
   std::vector<SnapshotAdmitRecord> admit_log_;
+  std::vector<SnapshotAdmitRecord> unsettled_admits_;  // SafePruneFloor's
   std::atomic<std::uint64_t> snapshot_admits_{0};
   std::atomic<std::uint64_t> snapshot_escalations_{0};
 };

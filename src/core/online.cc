@@ -52,6 +52,7 @@ std::uint32_t OnlineRsrChecker::ObjIndex(ObjectId object) {
   if (inserted) {
     *slot = static_cast<std::uint32_t>(objects_.size());
     objects_.emplace_back();
+    objects_.back().object = object;
     // Skip the small-capacity doublings the reader list would otherwise
     // go through; hot objects still grow past this normally.
     objects_.back().readers.reserve(8);
@@ -273,6 +274,7 @@ AdmitResult OnlineRsrChecker::TryAppend(const Operation& op) {
   for (const PendingMemo& pending : pending_memos_) {
     const auto [entry, inserted] = memo_.Upsert(pending.key);
     memo_undo_.push_back({pending.key, *entry, !inserted});
+    if (inserted) memo_keys_.push_back(pending.key);
     *entry = pending.entry;
   }
   // Isolation tracking for TryAppendIsolated: every arc emitted above is
@@ -481,6 +483,8 @@ void OnlineRsrChecker::UndoAppend(const AppendRecord& record) {
       *memo_.Find(undo.key) = undo.old;
     } else {
       memo_.Erase(undo.key);
+      RELSER_DCHECK(memo_keys_.back() == undo.key);
+      memo_keys_.pop_back();
     }
     memo_undo_.pop_back();
   }
@@ -538,23 +542,26 @@ std::size_t OnlineRsrChecker::Truncate(
 }
 
 void OnlineRsrChecker::ResetAndReplay() {
-  topo_ = IncrementalTopology(indexer_.total_ops());
-  topo_.Reserve(4 * indexer_.total_ops());
-  topo_.ReserveAdjacency(8);
-  topo_.set_journaling(true);
-  std::fill(executed_.begin(), executed_.end(), std::uint8_t{0});
-  std::fill(safe_.begin(), safe_.end(), std::uint8_t{1});
-  std::fill(flags_.begin(), flags_.end(), std::uint8_t{0});
-  std::fill(slot_of_.begin(), slot_of_.end(), kNoSlot);
-  std::fill(newest_gid_.begin(), newest_gid_.end(), kNoGid);
-  free_head_.fill(kNoSlot);
-  for (std::uint32_t slot = static_cast<std::uint32_t>(rows_.size());
-       slot-- > 0;) {
-    FreeSlot(slot);
+  // The state equals a fresh checker's fed feed_log_, so undoing the
+  // feed's footprint restores the constructed state, storage kept: only
+  // transactions with a fed op have cleared safe bits or a newest op,
+  // only fed ops own slots, and objects_/memo_keys_ list every key.
+  for (const std::size_t gid : feed_log_) {
+    const TxnId t = indexer_.TxnOf(gid);
+    executed_[gid] = 0;
+    flags_[gid] = 0;
+    if (slot_of_[gid] != kNoSlot) {
+      FreeSlot(slot_of_[gid]);
+      slot_of_[gid] = kNoSlot;
+    }
+    safe_[t] = 1;
+    newest_gid_[t] = kNoGid;
   }
-  object_index_.Clear();
+  for (const ObjState& state : objects_) object_index_.Erase(state.object);
   objects_.clear();
-  memo_.Clear();
+  for (const std::uint64_t key : memo_keys_) memo_.Erase(key);
+  memo_keys_.clear();
+  topo_.Clear();
   executed_count_ = 0;
   feed_log_.clear();
   records_.Reset(0);

@@ -109,8 +109,9 @@ class OnlineRsrChecker {
   /// undoes the appends back to that position and silently re-admits the
   /// surviving suffix: O(ops admitted since the victim's first op).
   /// Otherwise (a victim older than the journal start) it falls back to
-  /// a full reset plus a silent replay of every survivor, which also
-  /// rebuilds the journal. Every survivor re-admits, because the survivor-
+  /// a reset plus a silent replay of every survivor, which also rebuilds
+  /// the journal: O(feed + its arcs), since the reset undoes only what
+  /// the feed set. Every survivor re-admits, because the survivor-
   /// restricted RSG is a subgraph of the original acyclic graph.
   ///
   /// Counters: rejections(), arcs_submitted() and arcs_inserted_total()
@@ -122,9 +123,11 @@ class OnlineRsrChecker {
   /// Epoch-driven truncation (checkpoint): forgets every fed operation
   /// whose transaction has settled per `settled` (one atomic byte per
   /// transaction, epoch/epoch.h's view; read with relaxed loads). Like
-  /// RemoveTransactionExact's fallback this is a full reset plus a silent
-  /// replay of the surviving (unsettled) feed, so the result is bit-identical
-  /// (StateDigest) to a fresh checker fed only the survivors. Soundness:
+  /// RemoveTransactionExact's fallback this is a reset plus a silent
+  /// replay of the surviving (unsettled) feed, so the result is
+  /// bit-identical (StateDigest and topological order) to a fresh checker
+  /// fed only the survivors. Cost: O(feed at the checkpoint + its arcs),
+  /// independent of the transaction set's size. Soundness:
   /// a settled transaction is finished and frontier-unreachable, so (a)
   /// it never appends again — its cleared executed_ bits are never
   /// re-fed — and (b) no future operation can acquire an arc to or from
@@ -140,9 +143,14 @@ class OnlineRsrChecker {
 
   /// Retained-state gauges for long-lived memory accounting
   /// (bench_longlived): accepted operations currently remembered,
-  /// ancestor-row slots allocated in the slab, and F/B memo entries.
+  /// ancestor-row slots ever allocated and the bytes of their slab, and
+  /// F/B memo entries.
   std::size_t retained_ops() const { return feed_log_.size(); }
   std::size_t pool_rows() const { return slot_owner_.size(); }
+  std::size_t pool_bytes() const {
+    return slab_.size() * sizeof(AncEntry) +
+           rows_.size() * (sizeof(Row) + sizeof(std::size_t));
+  }
   std::size_t memo_entries() const { return memo_.size(); }
 
   /// Order-insensitive FNV-1a digest of the complete admission state:
@@ -222,6 +230,7 @@ class OnlineRsrChecker {
   struct ObjState {
     std::vector<std::size_t> readers;  // reads since last_writer, feed order
     std::size_t last_writer = kNoGid;
+    ObjectId object = 0;
   };
 
   /// Furthest F/B emission already performed for a (Ti -> Tj) pair.
@@ -363,6 +372,9 @@ class OnlineRsrChecker {
   std::vector<ObjState> objects_;
 
   FlatMap64<MemoEntry> memo_;
+  // memo_'s keys in insertion order: a rollback erases the newest first,
+  // so it pops them off the back.
+  std::vector<std::uint64_t> memo_keys_;
 
   // Reusable per-append scratch (no steady-state allocations).
   // scratch_anc_ is dense (txn -> +1-encoded max ancestor index) but only
@@ -389,9 +401,9 @@ class OnlineRsrChecker {
   static constexpr std::size_t kMinJournalEntries = std::size_t{1} << 14;
   std::size_t journal_budget_;
 
-  /// Full-reset path shared by RemoveTransactionExact's fallback and
-  /// Truncate: resets every piece of admission state (journal included)
-  /// and silently replays `replay_feed_`.
+  /// Reset path shared by RemoveTransactionExact's fallback and
+  /// Truncate: undoes what the current feed set (journal included) and
+  /// silently replays `replay_feed_`. O(feed + its arcs).
   void ResetAndReplay();
 
   std::size_t executed_count_ = 0;

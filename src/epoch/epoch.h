@@ -42,14 +42,14 @@
 //   * NoteFinish(txn): `txn` reached a terminal state — committed, or
 //     aborted with its removal/tombstoning fully applied everywhere.
 //     Every `gc_interval`-th finish triggers a sweep; each sweep that
-//     settles something bumps gc_generation, which consumers poll as
-//     their collection doorbell.
+//     settles something logs the newly settled and bumps gc_generation;
+//     consumers poll either as their collection doorbell.
 //
 // Thread safety: one mutex serializes NoteDep/NoteFinish/Sweep (shard
-// cores and client threads call concurrently). The settled view is an
-// atomic byte per transaction, readable lock-free: the flag is monotone
-// (0 -> 1, never back) and publishes a logical fact that was already
-// true when set, so relaxed loads are sound.
+// cores call concurrently). The settled view is an atomic byte per
+// transaction, readable lock-free: the flag is monotone (0 -> 1, never
+// back) and publishes a logical fact that was already true when set, so
+// relaxed loads are sound.
 #ifndef RELSER_EPOCH_EPOCH_H_
 #define RELSER_EPOCH_EPOCH_H_
 
@@ -85,6 +85,12 @@ class EpochManager {
   /// Idempotent. Triggers a sweep every `gc_interval` finishes.
   void NoteFinish(TxnId txn);
 
+  /// Lock-free NoteFinish, called once, for a transaction no NoteDep
+  /// ever names (a snapshot reader): its predecessors are none for good,
+  /// so it settles at once, outside the settle log (no consumer holds
+  /// its state) and finished_count.
+  void NoteArcFreeFinish(TxnId txn);
+
   /// Recomputes the settled set immediately (also called automatically
   /// every `gc_interval` finishes). Returns how many transactions
   /// settled in this sweep.
@@ -115,6 +121,14 @@ class EpochManager {
     return gc_generation_.load(std::memory_order_acquire);
   }
 
+  /// The sweep-settled transactions in settling order, append-only and
+  /// readable lock-free below settle_log_size(): a consumer keeps a
+  /// cursor and collects only what newly settled.
+  std::size_t settle_log_size() const {
+    return settle_log_size_.load(std::memory_order_acquire);
+  }
+  TxnId settle_log(std::size_t i) const { return settle_log_[i]; }
+
   std::size_t txn_count() const { return txn_count_; }
   /// Transactions settled so far.
   std::uint64_t settled_count() const {
@@ -130,7 +144,9 @@ class EpochManager {
     return epochs_advanced_.load(std::memory_order_relaxed);
   }
   /// Live dependency arcs currently retained (unsettled sources only).
-  std::size_t dep_arcs_live() const;
+  std::size_t dep_arcs_live() const {
+    return dep_arcs_live_.load(std::memory_order_relaxed);
+  }
 
  private:
   void NoteDepLocked(TxnId from, TxnId to);
@@ -144,8 +160,13 @@ class EpochManager {
   // settles (arcs into settled targets come only from settled sources,
   // so freeing by source reclaims everything).
   std::vector<std::vector<TxnId>> succs_;
+  std::vector<TxnId> sources_;  // unsettled txns with an outgoing arc
+  std::vector<TxnId> pending_;  // finished, not yet settled
   std::vector<std::uint8_t> finished_;
   std::unique_ptr<std::atomic<std::uint8_t>[]> settled_;
+  std::unique_ptr<TxnId[]> settle_log_;
+  std::atomic<std::size_t> settle_log_size_{0};
+  std::atomic<std::size_t> dep_arcs_live_{0};
   // Sweep scratch: generation-stamped visited marks + DFS stack.
   std::vector<std::uint32_t> visit_stamp_;
   std::uint32_t visit_gen_ = 0;

@@ -111,6 +111,17 @@ void Digraph::IsolateNode(NodeId node) {
   }
 }
 
+void Digraph::ClearEdgesOf(std::span<const NodeId> nodes) {
+  for (const NodeId node : nodes) {
+    for (const NodeId succ : OutNeighbors(node)) {
+      index_.Erase(EdgeKey(node, succ));
+    }
+    edge_count_ -= out_[node].size;
+    out_[node].size = 0;
+    in_[node].size = 0;
+  }
+}
+
 std::vector<std::pair<NodeId, NodeId>> Digraph::Edges() const {
   std::vector<std::pair<NodeId, NodeId>> edges;
   edges.reserve(edge_count_);

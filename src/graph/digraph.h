@@ -13,6 +13,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -127,6 +128,11 @@ class Digraph {
   /// Removes every edge incident to `node` (used by online schedulers when
   /// a transaction commits or aborts and its node is retired).
   void IsolateNode(NodeId node);
+
+  /// Removes every edge incident to `nodes` in time proportional to their
+  /// degrees, keeping each adjacency slab for reuse. `nodes` must hold
+  /// both endpoints of every such edge (duplicates are fine).
+  void ClearEdgesOf(std::span<const NodeId> nodes);
 
   /// All edges as (from, to) pairs, grouped by source.
   std::vector<std::pair<NodeId, NodeId>> Edges() const;

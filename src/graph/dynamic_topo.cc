@@ -9,6 +9,7 @@ IncrementalTopology::IncrementalTopology(std::size_t node_count)
       position_(node_count),
       order_(node_count),
       visit_stamp_(node_count, 0),
+      touched_mark_(node_count, 0),
       probe_stamp_(node_count, 0) {
   for (NodeId node = 0; node < node_count; ++node) {
     position_[node] = node;
@@ -23,6 +24,7 @@ void IncrementalTopology::EnsureNodes(std::size_t node_count) {
   position_.resize(node_count);
   order_.resize(node_count);
   visit_stamp_.resize(node_count, 0);
+  touched_mark_.resize(node_count, 0);
   probe_stamp_.resize(node_count, 0);
   for (NodeId node = old; node < node_count; ++node) {
     position_[node] = node;
@@ -42,8 +44,7 @@ IncrementalTopology::AddResult IncrementalTopology::AddEdge(NodeId from,
   const std::size_t upper = position_[from];
   if (lower > upper) {
     // Order already consistent with the new edge.
-    graph_.AddEdge(from, to);
-    if (journaling_) LogEdge(from, to);
+    Insert(from, to);
     return AddResult::kInserted;
   }
   // Affected region is [lower, upper]; discover it.
@@ -58,9 +59,20 @@ IncrementalTopology::AddResult IncrementalTopology::AddEdge(NodeId from,
   DiscoverBackward(from, lower);
   Reorder();
   ++reorder_count_;
-  graph_.AddEdge(from, to);
-  if (journaling_) LogEdge(from, to);
+  Insert(from, to);
   return AddResult::kInserted;
+}
+
+bool IncrementalTopology::Insert(NodeId from, NodeId to) {
+  if (!graph_.AddEdge(from, to)) return false;
+  for (const NodeId node : {from, to}) {
+    if (touched_mark_[node] == 0) {
+      touched_mark_[node] = 1;
+      touched_.push_back(node);
+    }
+  }
+  if (journaling_) LogEdge(from, to);
+  return true;
 }
 
 bool IncrementalTopology::AddEdges(
@@ -79,7 +91,7 @@ bool IncrementalTopology::AddEdges(
   for (std::size_t i = 0; i < arcs.size(); ++i) {
     const auto& [from, to] = arcs[i];
     if (from != to && position_[from] < position_[to]) {
-      if (graph_.AddEdge(from, to)) LogEdge(from, to);
+      Insert(from, to);
     } else {
       deferred_.push_back(i);
     }
@@ -205,6 +217,19 @@ void IncrementalTopology::Reorder() {
 
 void IncrementalTopology::IsolateNode(NodeId node) {
   graph_.IsolateNode(node);
+}
+
+void IncrementalTopology::Clear() {
+  // A repair permutes the positions of touched nodes among themselves,
+  // so resetting exactly those restores the identity order.
+  graph_.ClearEdgesOf(touched_);
+  for (const NodeId node : touched_) {
+    position_[node] = node;
+    order_[node] = node;
+    touched_mark_[node] = 0;
+  }
+  touched_.clear();
+  journal_.Reset(journal_.end());
 }
 
 std::vector<NodeId> IncrementalTopology::Order() const { return order_; }

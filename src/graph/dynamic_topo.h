@@ -69,6 +69,11 @@ class IncrementalTopology {
   /// online schedulers). The current order remains valid.
   void IsolateNode(NodeId node);
 
+  /// Returns to a fresh instance's state (reorder counter aside) in time
+  /// proportional to the nodes edges touched since the last Clear,
+  /// keeping every buffer's storage.
+  void Clear();
+
   /// Removes one edge (trial-insertion rollback). Edge removal never
   /// invalidates the maintained order. Returns true when removed.
   bool RemoveEdge(NodeId from, NodeId to) {
@@ -128,6 +133,9 @@ class IncrementalTopology {
   void DiscoverBackward(NodeId start, std::size_t bound);
   // Reassigns positions so delta_backward_ precedes delta_forward_.
   void Reorder();
+  // Inserts from -> to into the graph (false when present), noting both
+  // endpoints as touched and journaling the insertion when on.
+  bool Insert(NodeId from, NodeId to);
 
   Digraph graph_;
   std::vector<std::size_t> position_;  // node -> order index
@@ -143,6 +151,10 @@ class IncrementalTopology {
   std::vector<NodeId> stack_;                       // DFS scratch
   std::vector<std::size_t> pool_;                   // Reorder scratch
   std::vector<std::size_t> deferred_;                // AddEdges pass-2 arcs
+  // Endpoints of the edges inserted since the last Clear. Repairs move
+  // only such nodes, so every other node keeps its id as its position.
+  std::vector<NodeId> touched_;
+  std::vector<std::uint8_t> touched_mark_;
   // Undo journal; AddEdges also uses it as its own rollback log. An entry
   // is an inserted edge `node -> (value & ~kEdgeTag)`, or a repair move:
   // `node` was at position `value`.

@@ -73,7 +73,7 @@ bool CrossShardCoordinator::IssuerOnCycleLocked(TxnId issuer_rep) {
 }
 
 void CrossShardCoordinator::RebuildTopologyLocked() {
-  topo_ = IncrementalTopology(txn_count_);
+  topo_.Clear();
   rebuild_buf_.clear();
   pair_index_.ForEach([&](std::uint64_t key, std::uint8_t& /*state*/) {
     const TxnId from = Find(static_cast<TxnId>(key >> 32));

@@ -34,6 +34,7 @@ ShardedAdmitter::ShardedAdmitter(const TransactionSet& txns,
       coordinator_(txns.txn_count(), &coordinator_tracer_),
       coordinator_tracer_(options.tracer != nullptr ? options.tracer->level()
                                                     : TraceLevel::kOff),
+      epochs_(txns.txn_count(), options.gc_interval),
       kill_remaining_(
           std::vector<std::atomic<std::uint32_t>>(txns.txn_count())),
       txn_open_(std::vector<std::atomic<std::uint8_t>>(txns.txn_count())),
@@ -46,10 +47,6 @@ ShardedAdmitter::ShardedAdmitter(const TransactionSet& txns,
   if (options_.snapshot_reads) store_ = std::make_unique<VersionStore>(txns);
   if (options_.shed_high_water > 0) {
     shed_mark_ = std::vector<std::atomic<std::uint8_t>>(txns.txn_count());
-  }
-  if (options_.epoch_gc) {
-    epochs_ =
-        std::make_unique<EpochManager>(txns.txn_count(), options_.gc_interval);
   }
   BuildCores();
 }
@@ -64,6 +61,7 @@ void ShardedAdmitter::BuildCores() {
         plan_->slice(shard), txns_.object_count(), txns_.txn_count(),
         options_.queue_capacity, level));
     cores_.back()->shard_id = shard;
+    cores_.back()->gc_cursor = epochs_.settle_log_size();
     if (options_.tracer != nullptr) {
       cores_.back()->checker.set_tracer(&cores_.back()->tracer);
     }
@@ -125,9 +123,10 @@ AdmitResult ShardedAdmitter::SubmitAndWait(const Operation& op,
                 kAcceptWord, std::memory_order_release);
           }
           accepted_.fetch_add(txn.size(), std::memory_order_relaxed);
-          // Arc-free and fully resolved: report the finish (after the
-          // admit record exists, so SafePruneFloor sees its epoch).
-          if (epochs_ != nullptr) epochs_->NoteFinish(op.txn);
+          // Arc-free and fully resolved: it settles at once, lock-free
+          // (after the admit record exists, so SafePruneFloor sees its
+          // epoch until then).
+          epochs_.NoteArcFreeFinish(op.txn);
           return AdmitResult::Accept(op.txn);
         }
         // Lost the CAS to a concurrent AbortTxn: report the death.
@@ -637,7 +636,7 @@ void ShardedAdmitter::Decide(Core& core, const Operation& op) {
     }
     // All of this transaction's arcs were noted before its last accept
     // (program-order blocking feeding), so the finish is final word.
-    if (epochs_ != nullptr) epochs_->NoteFinish(txn);
+    epochs_.NoteFinish(txn);
   }
   Publish(gid, txn, AdmitOutcome::kAccept);
   if (tracer->counting()) tracer->RecordAdmit(op, core.core_steps, 0);
@@ -674,7 +673,7 @@ void ShardedAdmitter::InsertArc(Core& core, TxnId from, TxnId to) {
     // Every transaction-level dependency — local or mirrored — surfaces
     // here exactly once; the coordinator's arcs are a subset of these
     // pairs, so this single feed covers the whole settlement graph.
-    if (epochs_ != nullptr) epochs_->NoteDep(from, to);
+    epochs_.NoteDep(from, to);
   }
   if (*state == 1 && (core.tainted[from] != 0 || core.tainted[to] != 0)) {
     *state = 2;
@@ -753,16 +752,14 @@ void ShardedAdmitter::GlobalKill(Core& core, TxnId root, AdmitOutcome outcome,
     tracer->RecordAbort(root, core.core_steps, cascade);
   }
   const auto& shards = plan_->spans().ShardsOf(root);
-  if (epochs_ != nullptr) {
-    // The epoch finish waits for the LAST resident shard to apply its
-    // withdrawal (KillLocal's countdown): settling a half-withdrawn
-    // transaction would let a checker truncate rows a sibling shard is
-    // about to restore around. Initialized before MarkDead, so any core
-    // that observes kDead (and thus may run KillLocal) sees the count.
-    kill_remaining_[root].store(static_cast<std::uint32_t>(shards.size()),
-                                std::memory_order_release);
-    if (shards.empty()) epochs_->NoteFinish(root);
-  }
+  // The epoch finish waits for the LAST resident shard to apply its
+  // withdrawal (KillLocal's countdown): settling a half-withdrawn
+  // transaction would let a checker truncate rows a sibling shard is
+  // about to restore around. Initialized before MarkDead, so any core
+  // that observes kDead (and thus may run KillLocal) sees the count.
+  kill_remaining_[root].store(static_cast<std::uint32_t>(shards.size()),
+                              std::memory_order_release);
+  if (shards.empty()) epochs_.NoteFinish(root);
   coordinator_.MarkDead(root);
   for (const std::uint32_t shard : shards) {
     if (shard == core.shard_id) {
@@ -819,9 +816,8 @@ void ShardedAdmitter::KillLocal(Core& core, TxnId txn) {
     }
   }
   core.readers_of[txn].clear();
-  if (epochs_ != nullptr &&
-      kill_remaining_[txn].fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    epochs_->NoteFinish(txn);
+  if (kill_remaining_[txn].fetch_sub(1, std::memory_order_acq_rel) == 1) {
+    epochs_.NoteFinish(txn);
   }
 }
 
@@ -839,6 +835,7 @@ void FetchMax(std::atomic<std::uint64_t>& slot, std::uint64_t value) {
 ShardedAdmitter::LiveHighWater ShardedAdmitter::live_high_water() const {
   LiveHighWater hw;
   hw.pool_rows = hw_pool_rows_.load(std::memory_order_relaxed);
+  hw.pool_bytes = hw_pool_bytes_.load(std::memory_order_relaxed);
   hw.retained_ops = hw_retained_ops_.load(std::memory_order_relaxed);
   hw.memo_entries = hw_memo_entries_.load(std::memory_order_relaxed);
   hw.accept_entries = hw_accept_entries_.load(std::memory_order_relaxed);
@@ -849,19 +846,20 @@ ShardedAdmitter::LiveHighWater ShardedAdmitter::live_high_water() const {
 }
 
 void ShardedAdmitter::MaybeGcCore(Core& core) {
-  if (epochs_ == nullptr) return;
-  const std::uint64_t gen = epochs_->gc_generation();
-  if (gen == core.gc_seen_gen) return;
-  core.gc_seen_gen = gen;
+  // The settle log is the doorbell: it grows with every sweep that
+  // settles something.
+  const std::size_t log_end = epochs_.settle_log_size();
+  if (log_end == core.gc_cursor) return;
   // High-water sampling at the pre-truncation local maximum.
   FetchMax(hw_pool_rows_, core.checker.pool_rows());
+  FetchMax(hw_pool_bytes_, core.checker.pool_bytes());
   FetchMax(hw_retained_ops_, core.checker.retained_ops());
   FetchMax(hw_memo_entries_, core.checker.memo_entries());
   FetchMax(hw_accept_entries_, core.accept_log.size());
   FetchMax(hw_coordinator_arcs_, coordinator_.arc_count());
   if (store_ != nullptr) FetchMax(hw_versions_, store_->retained_versions());
-  FetchMax(hw_dep_arcs_, epochs_->dep_arcs_live());
-  const std::atomic<std::uint8_t>* settled = epochs_->settled_view();
+  FetchMax(hw_dep_arcs_, epochs_.dep_arcs_live());
+  const std::atomic<std::uint8_t>* settled = epochs_.settled_view();
   const auto is_settled = [settled](TxnId txn) {
     return settled[txn].load(std::memory_order_relaxed) != 0;
   };
@@ -881,55 +879,47 @@ void ShardedAdmitter::MaybeGcCore(Core& core) {
   // Checker truncation: drop the settled rows, silently replay the
   // unsettled suffix — bit-identical future decisions (core/online.h).
   const std::size_t dropped = core.checker.Truncate(settled);
-  // Local conflict DAG: every arc out of a settled transaction goes.
-  // Its incoming arcs froze at finish and had settled sources themselves
-  // (settledness is predecessor-closed), so the node ends up isolated.
-  core.gc_key_buf.clear();
-  core.arc_state.ForEach([&](std::uint64_t key, std::uint8_t&) {
-    if (is_settled(static_cast<TxnId>(key >> 32))) {
-      core.gc_key_buf.push_back(key);
+  // Scrub the newly settled (the settle log past this core's cursor).
+  // Local conflict DAG: every arc out of a settled transaction goes; its
+  // incoming arcs have settled sources (settledness is predecessor-
+  // closed), so the node ends up isolated. Frontier: a settled entry
+  // could only ever source settled arcs again — decision-neutral, since
+  // no future arc can enter a finished transaction. Settled writers
+  // committed, so their dirty-reader lists are moot.
+  core.gc_txn_buf.clear();
+  for (; core.gc_cursor < log_end; ++core.gc_cursor) {
+    const TxnId txn = epochs_.settle_log(core.gc_cursor);
+    for (const TxnId other : core.arc_neighbors[txn]) {
+      core.arc_state.Erase((static_cast<std::uint64_t>(txn) << 32) | other);
+      if (!is_settled(other)) core.gc_txn_buf.push_back(other);
     }
-  });
-  if (!core.gc_key_buf.empty()) {
-    for (const std::uint64_t key : core.gc_key_buf) core.arc_state.Erase(key);
-    for (auto& neighbors : core.arc_neighbors) neighbors.clear();
-    core.arc_state.ForEach([&](std::uint64_t key, std::uint8_t&) {
-      const auto from = static_cast<TxnId>(key >> 32);
-      const auto to = static_cast<TxnId>(key);
-      core.arc_neighbors[from].push_back(to);
-      core.arc_neighbors[to].push_back(from);
-    });
-  }
-  // Frontier scrub: a settled frontier entry could only ever source
-  // settled arcs again — which this very pass drops — so stop minting
-  // them. Decision-neutral: a settled source can never close a cycle
-  // (no future arc can enter a finished transaction).
-  for (TxnId& writer : core.obj_writer) {
-    if (writer != kNoTxn && is_settled(writer)) writer = kNoTxn;
-  }
-  for (auto& readers : core.obj_readers) {
-    readers.erase(std::remove_if(readers.begin(), readers.end(), is_settled),
-                  readers.end());
-  }
-  // Settled writers committed, so their dirty-reader lists are moot.
-  for (TxnId txn = 0; txn < static_cast<TxnId>(core.readers_of.size());
-       ++txn) {
-    if (is_settled(txn) && !core.readers_of[txn].empty()) {
-      std::vector<TxnId>().swap(core.readers_of[txn]);
+    std::vector<TxnId>().swap(core.arc_neighbors[txn]);
+    for (const Operation& op : core.slice.txns.txn(txn).ops()) {
+      TxnId& writer = core.obj_writer[op.object];
+      if (writer == txn) writer = kNoTxn;
+      std::erase(core.obj_readers[op.object], txn);
     }
+    std::vector<TxnId>().swap(core.readers_of[txn]);
+  }
+  std::sort(core.gc_txn_buf.begin(), core.gc_txn_buf.end());
+  core.gc_txn_buf.erase(
+      std::unique(core.gc_txn_buf.begin(), core.gc_txn_buf.end()),
+      core.gc_txn_buf.end());
+  for (const TxnId txn : core.gc_txn_buf) {
+    std::erase_if(core.arc_neighbors[txn], is_settled);
   }
   checkpoints_.fetch_add(1, std::memory_order_relaxed);
   if (core.tracer.counting()) {
     core.tracer.RecordCheckpoint(dropped, core.core_steps);
   }
-  // Shared structures once per generation: the first core to notice
-  // claims the coordinator collect and the version-chain prune.
+  // Shared structures once per settle-log length: the first core to
+  // notice claims the coordinator collect and the version-chain prune.
   std::uint64_t prev = gc_claim_.load(std::memory_order_relaxed);
-  while (prev < gen && !gc_claim_.compare_exchange_weak(
-                           prev, gen, std::memory_order_acq_rel,
-                           std::memory_order_relaxed)) {
+  while (prev < log_end && !gc_claim_.compare_exchange_weak(
+                               prev, log_end, std::memory_order_acq_rel,
+                               std::memory_order_relaxed)) {
   }
-  if (prev < gen) {
+  if (prev < log_end) {
     coordinator_.CollectSettled(settled);
     if (store_ != nullptr) {
       const std::uint64_t pruned =
@@ -939,15 +929,13 @@ void ShardedAdmitter::MaybeGcCore(Core& core) {
       }
     }
     if (core.tracer.counting()) {
-      core.tracer.RecordEpochAdvance(epochs_->settled_count(),
-                                     epochs_->watermark(), core.core_steps);
+      core.tracer.RecordEpochAdvance(epochs_.settled_count(),
+                                     epochs_.watermark(), core.core_steps);
     }
   }
 }
 
 void ShardedAdmitter::InstallRouter(ShardRouter router) {
-  RELSER_CHECK_MSG(options_.epoch_gc,
-                   "InstallRouter requires options.epoch_gc");
   RELSER_CHECK_MSG(!stopped_, "InstallRouter after Stop");
   bool expected = false;
   RELSER_CHECK_MSG(reshard_pending_.compare_exchange_strong(
@@ -983,8 +971,8 @@ void ShardedAdmitter::InstallRouter(ShardRouter router) {
   // transactions have no arcs), so this sweep settles ALL history: the
   // swap is a full-history GC tick, and empty fresh cores are exactly
   // what truncation would leave behind.
-  epochs_->Sweep();
-  const std::atomic<std::uint8_t>* settled = epochs_->settled_view();
+  epochs_.Sweep();
+  const std::atomic<std::uint8_t>* settled = epochs_.settled_view();
   coordinator_.CollectSettled(settled);
   if (store_ != nullptr) store_->PruneBelow(store_->SafePruneFloor(settled));
   for (auto& core : cores_) {

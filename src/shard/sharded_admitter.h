@@ -127,25 +127,16 @@ struct ShardedAdmitterOptions {
   /// relaxation knob, and decision bit-identity with the flag off is
   /// the differential baseline (tests/mvcc_test.cc, bench_mvcc).
   bool snapshot_reads = false;
-  /// Epoch-based stable-prefix GC (epoch/epoch.h). Every core feeds the
-  /// shared EpochManager (direct-conflict arcs at local-DAG insertion,
-  /// finishes at commit / fully-applied kill) and polls gc_generation
-  /// per drain: on advance it truncates its checker's settled rows,
-  /// scrubs frontier/arc bookkeeping of settled transactions, and
-  /// archives (or drops) settled accept-log entries; one core per
-  /// generation additionally collects coordinator arcs and prunes
-  /// version chains. Decision-identical to gc off — a settled
-  /// transaction can never lie on a future cycle in any shard checker
-  /// or the coordinator graph (tests/epoch_gc_differential_test.cc).
-  /// Also the prerequisite for InstallRouter live resharding.
-  bool epoch_gc = false;
-  /// NoteFinish calls between settlement sweeps (epoch_gc only).
+  /// NoteFinish calls between sweeps of the always-on epoch GC
+  /// (epoch/epoch.h, MaybeGcCore); 0 never sweeps, so the history stays
+  /// unbounded. GC is decision-identical to that — a settled transaction
+  /// can never lie on a future cycle in any shard checker or the
+  /// coordinator graph (tests/epoch_gc_differential_test.cc).
   std::uint32_t gc_interval = 64;
-  /// With epoch_gc on, keep GC'd settled accept-log entries in a
-  /// per-core archive so CommittedLog/AdmittedLog still cover the full
-  /// history. Turn off to cap memory at the unsettled suffix (the
-  /// long-lived bench does); the logs then cover only the unarchived
-  /// survivors.
+  /// Keep GC'd settled accept-log entries in a per-core archive so
+  /// CommittedLog/AdmittedLog still cover the full history. Turn off to
+  /// cap memory at the unsettled suffix (the long-lived bench does); the
+  /// logs then cover only the unarchived survivors.
   bool committed_log = true;
 };
 
@@ -243,8 +234,8 @@ class ShardedAdmitter {
   }
   const CrossShardCoordinator& coordinator() const { return coordinator_; }
 
-  /// Live reshard (requires options.epoch_gc): atomically replaces the
-  /// object partition with `router` at a watermark boundary, without
+  /// Live reshard: atomically replaces the object partition with
+  /// `router` at a watermark boundary, without
   /// stopping admission — clients keep submitting throughout. Protocol:
   /// new transactions are refused with kRetry (their SubmitWithBackoff
   /// loops ride it out) while every started transaction drains to a
@@ -264,9 +255,9 @@ class ShardedAdmitter {
   std::uint64_t router_swaps() const {
     return router_swaps_.load(std::memory_order_relaxed);
   }
-  /// The epoch manager driving stable-prefix GC; nullptr when off.
-  const EpochManager* epochs() const { return epochs_.get(); }
-  /// Per-core checker truncation passes taken; 0 when epoch_gc is off.
+  /// The epoch manager driving stable-prefix GC.
+  const EpochManager* epochs() const { return &epochs_; }
+  /// Per-core GC passes (checker truncations); 0 when gc_interval is 0.
   std::uint64_t checkpoints() const {
     return checkpoints_.load(std::memory_order_relaxed);
   }
@@ -290,9 +281,10 @@ class ShardedAdmitter {
   /// Per-core gauges (pool rows, feed entries, memos, accept-log) take
   /// the max over cores; shared gauges (coordinator arcs, versions, dep
   /// arcs) are instantaneous retained counts. All zeros until the first
-  /// GC tick; meaningful only with options.epoch_gc.
+  /// GC tick.
   struct LiveHighWater {
     std::uint64_t pool_rows = 0;         ///< ancestor rows (max core)
+    std::uint64_t pool_bytes = 0;        ///< ancestor-row slab (max core)
     std::uint64_t retained_ops = 0;      ///< checker feed rows (max core)
     std::uint64_t memo_entries = 0;      ///< F/B memo entries (max core)
     std::uint64_t accept_entries = 0;    ///< live accept-log (max core)
@@ -366,7 +358,7 @@ class ShardedAdmitter {
     std::vector<TxnId> newly_tainted;  // per-decision taint undo log
     std::vector<std::size_t> gid_buf;
     std::vector<ObjectId> touched_buf;
-    std::vector<std::uint64_t> gc_key_buf;  // settled arc keys per GC pass
+    std::vector<TxnId> gc_txn_buf;  // unsettled arc neighbours per GC pass
 
     std::uint32_t shard_id = 0;
 
@@ -374,7 +366,7 @@ class ShardedAdmitter {
     std::vector<std::pair<std::uint64_t, Operation>> accept_log;
     // Settled entries moved out of accept_log by GC (committed_log).
     std::vector<std::pair<std::uint64_t, Operation>> archived_accepts;
-    std::uint64_t gc_seen_gen = 0;  // last gc_generation acted on
+    std::size_t gc_cursor = 0;  // epochs_ settle-log entries collected
 
     std::uint64_t core_steps = 0;  // decisions taken (fault key, tick)
     std::size_t ops_routed = 0;
@@ -390,8 +382,8 @@ class ShardedAdmitter {
   void BuildCores();
   /// GC tick (this core's thread only): when the settled set advanced,
   /// archive/drop settled accept-log entries, truncate the checker and
-  /// scrub settled bookkeeping; the generation's claim winner also
-  /// collects coordinator arcs and prunes version chains.
+  /// scrub the newly settled transactions' bookkeeping; the generation's
+  /// claim winner also collects coordinator arcs and prunes versions.
   void MaybeGcCore(Core& core);
   void CoreLoop(std::uint32_t shard);
   void Decide(Core& core, const Operation& op);
@@ -432,8 +424,8 @@ class ShardedAdmitter {
   std::unique_ptr<VersionStore> store_;
   CrossShardCoordinator coordinator_;
   Tracer coordinator_tracer_;
-  // Stable-prefix GC authority (non-null iff options_.epoch_gc).
-  std::unique_ptr<EpochManager> epochs_;
+  // Stable-prefix GC authority.
+  EpochManager epochs_;
   // Load shedding (sized iff options_.shed_high_water > 0): txn -> 0
   // unseen / 1 counted live / 2 terminal, and the live count itself.
   std::vector<std::atomic<std::uint8_t>> shed_mark_;
@@ -441,12 +433,13 @@ class ShardedAdmitter {
   // txn -> resident-shard withdrawals still outstanding after a kill;
   // the last KillLocal reports the fully-applied abort to epochs_.
   std::vector<std::atomic<std::uint32_t>> kill_remaining_;
-  // Highest gc_generation whose shared work (coordinator collect +
-  // version prune) some core has claimed.
+  // Longest settle log whose shared work (coordinator collect + version
+  // prune) some core has claimed.
   std::atomic<std::uint64_t> gc_claim_{0};
   std::atomic<std::uint64_t> checkpoints_{0};
   // live_high_water() marks, fed by MaybeGcCore (CAS-max).
   std::atomic<std::uint64_t> hw_pool_rows_{0};
+  std::atomic<std::uint64_t> hw_pool_bytes_{0};
   std::atomic<std::uint64_t> hw_retained_ops_{0};
   std::atomic<std::uint64_t> hw_memo_entries_{0};
   std::atomic<std::uint64_t> hw_accept_entries_{0};

@@ -127,7 +127,8 @@ std::string FindRepoRoot(const std::string& marker) {
 }
 
 bool WriteBenchJsonFile(const std::string& filename,
-                        const std::string& content, const std::string& tag) {
+                        const std::string& content, bool smoke,
+                        const std::string& tag) {
   bool ok = WriteJsonFile(filename, content);
   const std::string root = FindRepoRoot();
   if (root.empty()) return ok;
@@ -136,8 +137,9 @@ bool WriteBenchJsonFile(const std::string& filename,
   std::error_code ec;
   const fs::path root_path(root);
   const fs::path root_copy = root_path / filename;
-  // Skip the second write when the bench already runs at the root.
-  if (!fs::equivalent(root_copy, fs::path(filename), ec) || ec) {
+  // Skip the second write for a smoke run, and when the bench already
+  // runs at the root.
+  if (!smoke && (!fs::equivalent(root_copy, fs::path(filename), ec) || ec)) {
     ok = WriteJsonFile(root_copy.string(), content) && ok;
   }
 

@@ -76,15 +76,16 @@ bool WriteJsonFile(const std::string& path, const std::string& content);
 std::string FindRepoRoot(const std::string& marker = "ROADMAP.md");
 
 /// Emits a canonical perf-trajectory artifact. Writes `content` to
-/// `filename` in the current directory and, when the repository root can
-/// be located (see FindRepoRoot), at `<root>/<filename>` too — so the
-/// canonical BENCH_*.json lands at the repo root no matter which build
-/// directory the bench ran from. When `tag` — or, if `tag` is empty, the
+/// `filename` in the current directory and, for a full-size run (`smoke`
+/// false) when the repository root can be located (see FindRepoRoot), at
+/// `<root>/<filename>` too — so the canonical BENCH_*.json lands at the
+/// repo root no matter which build directory the bench ran from, and a
+/// smoke run never replaces it. When `tag` — or, if `tag` is empty, the
 /// RELSER_BENCH_TAG environment variable — is non-empty, additionally
 /// snapshots to `<root>/bench/trajectory/<stem>_<tag>.json`, the
 /// committed perf-trajectory record. Returns false if any write fails.
 bool WriteBenchJsonFile(const std::string& filename,
-                        const std::string& content,
+                        const std::string& content, bool smoke,
                         const std::string& tag = "");
 
 /// A parsed JSON document node.

@@ -2,7 +2,8 @@
 // deterministic submission schedule (one client thread, blocking
 // submissions), an admitter running GC — checker truncation, arc
 // collection, version pruning — must be DECISION- and
-// WITNESS-identical to the unbounded admitter: the same per-operation
+// WITNESS-identical to the unbounded admitter (the same options with
+// gc_interval 0, which never sweeps): the same per-operation
 // outcome sequence, the same per-transaction verdicts, and the same
 // committed log, bit for bit. Two configurations are swept: the
 // single-core (one-shard) admitter and a multi-shard one, with client
@@ -180,18 +181,18 @@ TEST(EpochGcDifferential, GcIsDecisionAndWitnessIdentical) {
     // Single-core (one-shard) admitter, GC'd vs unbounded.
     {
       ShardedAdmitterOptions gc_opts;
-      gc_opts.epoch_gc = true;
       gc_opts.gc_interval = 2;
       gc_opts.snapshot_reads = with_snapshots;
       if (with_faults) gc_opts.faults = &faults;
       ShardedAdmitterOptions full_opts = gc_opts;
-      full_opts.epoch_gc = false;
+      full_opts.gc_interval = 0;  // never sweeps: unbounded history
       ShardedAdmitter gc_admitter(txns, spec, SingleShard(txns), gc_opts);
       const RunOutcome gc = Drive(gc_admitter, txns, schedule, drive_seed);
       ShardedAdmitter full_admitter(txns, spec, SingleShard(txns), full_opts);
       const RunOutcome full =
           Drive(full_admitter, txns, schedule, drive_seed);
       ExpectIdentical(gc, full, round, "one-shard");
+      EXPECT_EQ(full_admitter.checkpoints(), 0u);
       gc_checkpoints += gc_admitter.checkpoints();
       gc_settled += gc_admitter.epochs()->settled_count();
     }
@@ -203,18 +204,18 @@ TEST(EpochGcDifferential, GcIsDecisionAndWitnessIdentical) {
                                                   : ShardStrategy::kHash);
       ShardedAdmitterOptions gc_opts;
       gc_opts.queue_capacity = 16;
-      gc_opts.epoch_gc = true;
       gc_opts.gc_interval = 2;
       gc_opts.snapshot_reads = with_snapshots;
       if (with_faults) gc_opts.faults = &faults;
       ShardedAdmitterOptions full_opts = gc_opts;
-      full_opts.epoch_gc = false;
+      full_opts.gc_interval = 0;  // never sweeps: unbounded history
       ShardedAdmitter gc_admitter(txns, spec, router, gc_opts);
       const RunOutcome gc = Drive(gc_admitter, txns, schedule, drive_seed);
       ShardedAdmitter full_admitter(txns, spec, router, full_opts);
       const RunOutcome full =
           Drive(full_admitter, txns, schedule, drive_seed);
       ExpectIdentical(gc, full, round, "sharded");
+      EXPECT_EQ(full_admitter.checkpoints(), 0u);
       gc_checkpoints += gc_admitter.checkpoints();
       gc_settled += gc_admitter.epochs()->settled_count();
       for (const std::uint8_t c : gc.committed) committed_total += c;

@@ -18,6 +18,7 @@
 
 #include "core/online.h"
 #include "core/online_baseline.h"
+#include "epoch/epoch.h"
 #include "exec/faultplan.h"
 #include "model/schedule.h"
 #include "model/text.h"
@@ -393,6 +394,114 @@ TEST(FaultTest, WideSparseRowsMatchBaselineAndRebuild) {
 
 // A voluntary abort must cascade to live transactions that read the
 // aborted writer's data, but never to committed ones.
+// Checkpoint truncation, driven the way the admitter drives it: feed a
+// random schedule (a rejected transaction is withdrawn at once), report
+// every conflict pair and finish to an EpochManager, and at a random
+// cut truncate the settled transactions — a predecessor-closed set of
+// finished ones. The truncated checker must then equal a fresh checker
+// fed only the survivors (StateDigest and topological order), and over
+// the rest of the schedule, with one exact abort of a live transaction
+// right after the truncation, it must decide exactly as the checker
+// that kept the whole history, witnesses included.
+TEST(FaultTest, TruncateMatchesSurvivorRebuildAndUntruncatedFuture) {
+  constexpr int kRounds = 400;
+  Rng base(0x7A0C);
+  int truncated_rounds = 0;
+  int aborted_after = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    Rng rng = base.Split(static_cast<std::uint64_t>(round));
+    WorkloadParams wp;
+    wp.txn_count = 4 + rng.UniformIndex(10);
+    wp.min_ops_per_txn = 1;
+    wp.max_ops_per_txn = 5;
+    wp.object_count = 2 + rng.UniformIndex(5);
+    wp.read_ratio = 0.5;
+    const TransactionSet txns = GenerateTransactions(wp, &rng);
+    const AtomicitySpec spec = RandomSpec(txns, rng.UniformDouble(), &rng);
+    std::vector<TxnId> schedule;  // one entry per op, program order
+    for (TxnId t = 0; t < txns.txn_count(); ++t) {
+      schedule.insert(schedule.end(), txns.txn(t).size(), t);
+    }
+    for (std::size_t i = schedule.size(); i > 1; --i) {
+      std::swap(schedule[i - 1], schedule[rng.UniformIndex(i)]);
+    }
+    const std::size_t cut = rng.UniformIndex(schedule.size() + 1);
+
+    OnlineRsrChecker truncated(txns, spec);
+    OnlineRsrChecker full(txns, spec);
+    EpochManager epochs(txns.txn_count(), /*gc_interval=*/0);
+    std::vector<std::uint32_t> next(txns.txn_count(), 0);
+    std::vector<std::uint8_t> dead(txns.txn_count(), 0);
+    std::vector<Operation> executed;  // every accepted op, for conflicts
+    const auto abort_both = [&](TxnId txn) {
+      truncated.RemoveTransactionExact(txn);
+      full.RemoveTransactionExact(txn);
+      dead[txn] = 1;
+      epochs.NoteFinish(txn);
+    };
+    for (std::size_t pos = 0; pos < schedule.size(); ++pos) {
+      if (pos == cut) {
+        epochs.Sweep();
+        const std::size_t dropped = truncated.Truncate(epochs.settled_view());
+        std::vector<std::size_t> survivors;
+        for (const std::size_t gid : full.feed_log()) {
+          if (!epochs.Settled(txns.OpByGlobalId(gid).txn)) {
+            survivors.push_back(gid);
+          }
+        }
+        ASSERT_EQ(truncated.feed_log(), survivors) << "round " << round;
+        ASSERT_EQ(dropped, full.feed_log().size() - survivors.size());
+        const auto rebuilt = Rebuilt(txns, spec, truncated);
+        ASSERT_EQ(truncated.StateDigest(), rebuilt->StateDigest())
+            << "round " << round;
+        ASSERT_EQ(truncated.topology().Order(), rebuilt->topology().Order())
+            << "round " << round;
+        if (dropped > 0) ++truncated_rounds;
+        std::vector<TxnId> live;
+        for (TxnId t = 0; t < txns.txn_count(); ++t) {
+          if (dead[t] == 0 && truncated.TxnHasExecuted(t) &&
+              next[t] < txns.txn(t).size()) {
+            live.push_back(t);
+          }
+        }
+        if (dropped > 0 && !live.empty()) {
+          abort_both(rng.Choice(live));
+          ++aborted_after;
+          ASSERT_EQ(truncated.StateDigest(),
+                    RebuiltDigest(txns, spec, truncated))
+              << "round " << round;
+        }
+      }
+      const TxnId txn = schedule[pos];
+      if (dead[txn] != 0) continue;
+      const Operation& op = txns.txn(txn).op(next[txn]);
+      const AdmitResult got = truncated.TryAppend(op);
+      const AdmitResult want = full.TryAppend(op);
+      ASSERT_EQ(got.ok(), want.ok()) << "round " << round << " pos " << pos;
+      if (!got.ok()) {
+        EXPECT_EQ(got.witness_arc.from, want.witness_arc.from);
+        EXPECT_EQ(got.witness_arc.to, want.witness_arc.to);
+        EXPECT_EQ(got.witness_arc.arc_kinds, want.witness_arc.arc_kinds);
+        abort_both(txn);
+        continue;
+      }
+      for (const Operation& prior : executed) {
+        if (prior.txn != txn && prior.object == op.object &&
+            (prior.is_write() || op.is_write()) && dead[prior.txn] == 0) {
+          epochs.NoteDep(prior.txn, txn);
+        }
+      }
+      executed.push_back(op);
+      if (++next[txn] == txns.txn(txn).size()) epochs.NoteFinish(txn);
+    }
+    EXPECT_EQ(truncated.StateDigest(), RebuiltDigest(txns, spec, truncated))
+        << "round " << round;
+  }
+  // Vacuous unless truncation dropped history and aborts followed it.
+  EXPECT_GT(truncated_rounds, kRounds / 4);
+  EXPECT_GT(aborted_after, kRounds / 8);
+}
+
 TEST(FaultTest, ClientAbortCascadesToDirtyReaders) {
   // T1 writes x and never finishes; T2 reads x (dirty) then stalls; T3
   // is independent. Aborting T1 must cascade-abort T2 and leave T3

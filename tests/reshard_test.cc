@@ -97,7 +97,6 @@ TEST(Reshard, SplitHotRangeBetweenPhasesIsSound) {
   const AtomicitySpec spec = RandomSpec(txns, 0.5, &rng);
 
   ShardedAdmitterOptions options;
-  options.epoch_gc = true;  // InstallRouter's prerequisite
   options.gc_interval = 4;
   ShardedAdmitter admitter(
       txns, spec,
@@ -139,7 +138,6 @@ TEST(Reshard, SwapRacingLiveTrafficIsSound) {
   const AtomicitySpec spec = RandomSpec(txns, 0.4, &rng);
 
   ShardedAdmitterOptions options;
-  options.epoch_gc = true;
   options.gc_interval = 4;
   options.queue_capacity = 32;
   ShardedAdmitter admitter(
@@ -170,7 +168,6 @@ TEST(Reshard, BackToBackSwapsAtIdleAreSound) {
   const AtomicitySpec spec = RandomSpec(txns, 0.5, &rng);
 
   ShardedAdmitterOptions options;
-  options.epoch_gc = true;
   ShardedAdmitter admitter(
       txns, spec,
       ShardRouter(txns.object_count(), 2, ShardStrategy::kHash), options);
