@@ -18,16 +18,15 @@
 //      admission stamp) must replay relatively serializably through a
 //      fresh OnlineRsrChecker, and every committed transaction must
 //      appear complete in it.
-//   2. Bit-identity at ratio 0: with no read-only transactions the fast
-//      path must be invisible — a deterministic lock-step feed must
-//      produce decision-for-decision identical outcomes and identical
-//      committed histories, ON vs OFF, at one shard and at four.
-//   3. Zero arcs at ratio 1: an all-readers workload must be admitted
+//   2. Zero arcs at ratio 1: an all-readers workload must be admitted
 //      entirely by the fast path (snapshot_admits == txn_count) with
 //      the wrapped checker receiving zero arcs.
-//   4. Speedup (full mode only): at ratio 0.95 the ON run must commit
+//   3. Speedup (full mode only): at ratio 0.95 the ON run must commit
 //      read-only transactions >= 3x faster than the OFF run. Smoke mode
 //      reports the ratio but does not enforce it (CI machines jitter).
+// That the fast path is invisible at ratio 0 (decision-for-decision
+// identical, ON vs OFF, at one shard and at four) is checked by
+// tests/mvcc_test.cc's RatioZeroBitIdentity lock-step tests.
 //
 // Emits BENCH_mvcc.json (cwd + repo root + bench/trajectory/ when a tag
 // is set) via WriteBenchJsonFile. `--smoke` shrinks the grid for CI;
@@ -41,7 +40,6 @@
 
 #include "core/online.h"
 #include "exec/backoff.h"
-#include "model/op_indexer.h"
 #include "shard/router.h"
 #include "shard/sharded_admitter.h"
 #include "util/json.h"
@@ -194,82 +192,6 @@ MvccRun RunCell(const TransactionSet& txns, const AtomicitySpec& spec,
   return run;
 }
 
-/// Hard gate 2: with read_only_txn_ratio = 0 (every transaction has a
-/// writer) the fast path must be bit-invisible. Lock-step deterministic
-/// round-robin feeds, ON vs OFF, at one shard and at four.
-bool RatioZeroIdentical(std::size_t rounds, std::size_t txn_count,
-                        std::uint64_t seed) {
-  const Rng base(seed);
-  for (std::size_t round = 0; round < rounds; ++round) {
-    for (const bool sharded : {false, true}) {
-      Rng rng = base.Split(round * 2 + (sharded ? 1 : 0));
-      TransactionSet txns;
-      if (sharded) {
-        ShardedWorkloadParams wp;
-        wp.txn_count = txn_count;
-        wp.shard_count = 4;
-        wp.objects_per_shard = 4;  // dense: plenty of real conflicts
-        wp.zipf_theta = 0.9;
-        wp.read_only_txn_ratio = 0.0;
-        txns = GenerateShardedTransactions(wp, &rng);
-      } else {
-        WorkloadParams wp;
-        wp.txn_count = txn_count;
-        wp.object_count = 8;
-        wp.zipf_theta = 0.9;
-        wp.read_only_txn_ratio = 0.0;
-        txns = GenerateTransactions(wp, &rng);
-      }
-      const AtomicitySpec spec = RandomSpec(txns, 0.5, &rng);
-      const ShardRouter router(txns.object_count(), sharded ? 4 : 1,
-                               ShardStrategy::kRange);
-      ShardedAdmitterOptions on_opts;
-      on_opts.snapshot_reads = true;
-      ShardedAdmitter on(txns, spec, router, on_opts);
-      ShardedAdmitter off(txns, spec, router);
-
-      std::vector<std::uint32_t> next(txns.txn_count(), 0);
-      std::vector<std::uint8_t> dead(txns.txn_count(), 0);
-      bool progress = true;
-      while (progress) {
-        progress = false;
-        for (TxnId t = 0; t < txns.txn_count(); ++t) {
-          if (dead[t] != 0 || next[t] >= txns.txn(t).size()) continue;
-          const Operation& op = txns.txn(t).op(next[t]);
-          const AdmitResult a = on.SubmitAndWait(op);
-          const AdmitResult b = off.SubmitAndWait(op);
-          if (a.outcome != b.outcome) {
-            std::cerr << "identity gate: round " << round << " T" << t
-                      << " op " << next[t] << ": snapshot-on "
-                      << AdmitOutcomeName(a.outcome) << ", snapshot-off "
-                      << AdmitOutcomeName(b.outcome) << "\n";
-            return false;
-          }
-          ++next[t];
-          if (!a.ok()) dead[t] = 1;
-          progress = true;
-        }
-      }
-      on.Stop();
-      off.Stop();
-      const std::vector<Operation> log_on = on.CommittedLog();
-      const std::vector<Operation> log_off = off.CommittedLog();
-      const OpIndexer indexer(txns);
-      bool same = log_on.size() == log_off.size();
-      for (std::size_t i = 0; same && i < log_on.size(); ++i) {
-        same = indexer.GlobalId(log_on[i]) == indexer.GlobalId(log_off[i]);
-      }
-      if (!same) {
-        std::cerr << "identity gate: round " << round
-                  << ": committed logs diverge (" << log_on.size() << " vs "
-                  << log_off.size() << " ops)\n";
-        return false;
-      }
-    }
-  }
-  return true;
-}
-
 }  // namespace
 }  // namespace relser
 
@@ -366,10 +288,6 @@ int main(int argc, char** argv) {
   std::cout << "\ncommitted history relatively serializable at every cell: "
             << (sound ? "yes" : "NO") << "\n";
 
-  const bool identical = RatioZeroIdentical(smoke ? 6 : 16, smoke ? 12 : 24,
-                                            0x1D36CCULL);
-  std::cout << "ratio-0 decisions identical with the fast path on: "
-            << (identical ? "yes" : "NO") << "\n";
   std::cout << "ratio-1 admitted arc-free: "
             << (zero_arcs_at_one ? "yes" : "NO") << "\n";
   std::cout << "read-txn throughput speedup at ratio 0.95: "
@@ -392,8 +310,6 @@ int main(int argc, char** argv) {
   json.Uint(object_count);
   json.Key("sound");
   json.Bool(sound);
-  json.Key("ratio_zero_identical");
-  json.Bool(identical);
   json.Key("zero_arcs_at_ratio_one");
   json.Bool(zero_arcs_at_one);
   json.Key("read_speedup_at_095");
@@ -456,7 +372,7 @@ int main(int argc, char** argv) {
   }
 
   const bool speedup_ok = smoke || speedup_at_095 >= 3.0;
-  const bool pass = sound && identical && zero_arcs_at_one && speedup_ok;
+  const bool pass = sound && zero_arcs_at_one && speedup_ok;
   std::cout << "gates: " << (pass ? "PASS" : "FAIL") << "\n";
   return pass ? 0 : 1;
 }

@@ -153,7 +153,7 @@ TEST(DeterminismTest, CensusBitIdenticalAcrossPoolSizes) {
 TEST(DeterminismTest, ParallelBruteMatchesSerial) {
   const Rng base(0x5EED);
   ThreadPool pool(3);
-  for (std::size_t c = 0; c < 25; ++c) {
+  for (std::size_t c = 0; c < 100; ++c) {
     Rng rng = base.Split(c);
     WorkloadParams wp;
     wp.txn_count = 3 + rng.UniformIndex(2);
@@ -172,10 +172,14 @@ TEST(DeterminismTest, ParallelBruteMatchesSerial) {
     const BruteForceResult pooled =
         IsRelativelyConsistentParallel(txns, schedule, spec, &pool);
     // The parallel driver must agree with the serial oracle on the
-    // decision and produce an equally valid witness...
+    // decision and, with no budget, find the very same witness (both
+    // explore the same tree in the same order)...
     ASSERT_EQ(serial.decided, pooled.decided) << "case " << c;
     ASSERT_EQ(serial.witness.has_value(), pooled.witness.has_value())
         << "case " << c;
+    if (serial.witness.has_value()) {
+      EXPECT_EQ(serial.witness->ops(), pooled.witness->ops()) << "case " << c;
+    }
     // ...and be bit-identical to itself at every pool size — decision,
     // witness AND search stats (branch decomposition counts each
     // branch's root separately, so stats differ from the single-tree

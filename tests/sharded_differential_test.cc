@@ -1,18 +1,24 @@
 // Differential soundness sweep for the sharded admission subsystem
 // (src/shard/): randomized multi-shard workloads driven by one client
 // thread per transaction, at shard counts {1, 2, 4, 8}, with random
-// specs, both router strategies, client aborts, and fault-plan core
-// pauses. The gate is the subsystem's whole claim: every committed
-// merged history must replay relatively serializably on ONE full
-// OnlineRsrChecker over the original (unprojected) transactions and
-// spec — per-shard acyclicity plus coordinator acyclicity must imply
-// global acyclicity, no matter how the cores interleave.
+// specs, both router strategies and client aborts. A quarter of the
+// rounds add the whole fault mix: a FaultPlan's client stalls, dropped
+// submissions, scripted self-aborts and core pauses, deadlines, a tiny
+// ring and load shedding. The gate is the subsystem's whole claim:
+// every committed merged history must replay relatively serializably
+// on ONE full OnlineRsrChecker over the original (unprojected)
+// transactions and spec — per-shard acyclicity plus coordinator
+// acyclicity must imply global acyclicity, no matter how the cores
+// interleave.
 //
 // RELSER_SHARD_DIFF_ROUNDS overrides the round count (default 504, a
 // multiple of the four shard counts); CI's TSan job runs fewer.
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
+#include <latch>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -47,6 +53,8 @@ TEST(ShardedDifferential, CommittedHistoriesReplayOnTheFullChecker) {
   std::size_t committed_txns = 0;
   std::size_t aborted_txns = 0;
   std::uint64_t coordinator_rejects = 0;
+  std::uint64_t sheds = 0;
+  std::atomic<std::uint64_t> plan_drops{0};
   for (std::size_t round = 0; round < rounds; ++round) {
     Rng rng = base.Split(round);
     const std::size_t shard_count = kShardCounts[round % 4];
@@ -65,35 +73,73 @@ TEST(ShardedDifferential, CommittedHistoriesReplayOnTheFullChecker) {
                              rng.Bernoulli(0.5) ? ShardStrategy::kRange
                                                 : ShardStrategy::kHash);
 
-    // A quarter of the rounds also run under deterministic core pauses,
-    // shaking the cross-core control-channel and kill-race paths.
+    // A quarter of the rounds, every fourth block of four so that each
+    // shard count gets them, also run the fault mix: deterministic core
+    // pauses shake the cross-core control-channel and kill-race paths;
+    // client stalls, drops and self-aborts follow the plan; a tiny ring
+    // forces backpressure retries and a low high-water mark sheds.
+    const bool fault_round = round / 4 % 4 == 3;
     FaultPlanParams fp;
+    fp.stall_prob = 0.2;
+    fp.drop_prob = 0.05;
+    fp.abort_prob = 0.1;
     fp.core_pause_prob = 0.3;
+    fp.max_stall_us = 40;
     fp.max_core_pause_us = 40;
     const FaultPlan faults(rng.Next(), fp);
+    Tracer tracer(TraceLevel::kCounters);
     ShardedAdmitterOptions options;
     options.queue_capacity = 16;  // small rings: exercise backpressure
-    if (round % 4 == 3) options.faults = &faults;
+    if (fault_round) {
+      options.tracer = &tracer;
+      options.faults = &faults;
+      options.queue_capacity = 2;
+      options.shed_high_water = 2;
+    }
     ShardedAdmitter admitter(txns, spec, router, options);
 
     // One client thread per transaction, program order, blocking
     // submissions — the admitter's feeding contract. Some transactions
-    // give up voluntarily mid-stream (client abort).
+    // give up voluntarily mid-stream (client abort): by a coin flip, or
+    // in fault rounds where the plan scripts it or drops a submission.
+    // Fault rounds also stall clients and give every third transaction
+    // a deadline.
     const double abort_prob = rng.UniformDouble() * 0.2;
     std::vector<std::uint64_t> seeds(txns.txn_count());
     for (auto& seed : seeds) seed = rng.Next();
+    // Fault-round clients start together, so that enough transactions
+    // are live at once for shedding to fire even where thread start-up
+    // is slow (sanitizer builds).
+    std::latch start(static_cast<std::ptrdiff_t>(txns.txn_count()));
     std::vector<std::thread> clients;
     clients.reserve(txns.txn_count());
     for (TxnId t = 0; t < txns.txn_count(); ++t) {
       clients.emplace_back([&, t] {
+        if (fault_round) start.arrive_and_wait();
         Rng local(seeds[t]);
         Backoff backoff(seeds[t] ^ 0xB0FF);
-        for (std::uint32_t i = 0; i < txns.txn(t).size(); ++i) {
-          if (i > 0 && local.Bernoulli(abort_prob)) {
+        const auto size = static_cast<std::uint32_t>(txns.txn(t).size());
+        const std::optional<std::uint32_t> abort_after =
+            faults.AbortAfter(t, size);
+        const std::chrono::microseconds deadline =
+            fault_round && t % 3 == 0 ? std::chrono::microseconds(2000)
+                                      : std::chrono::microseconds::zero();
+        for (std::uint32_t i = 0; i < size; ++i) {
+          const OpFault fault =
+              fault_round ? faults.ForOp(t, i) : OpFault{};
+          const bool abort_now =
+              fault_round ? fault.drop || abort_after == i
+                          : i > 0 && local.Bernoulli(abort_prob);
+          if (abort_now) {
+            if (fault.drop) plan_drops.fetch_add(1);
             admitter.AbortTxn(t);
             return;
           }
-          if (!admitter.SubmitWithBackoff(txns.txn(t).op(i), backoff).ok()) {
+          std::this_thread::sleep_for(
+              std::chrono::microseconds(fault.stall_us));
+          if (!admitter.SubmitWithBackoff(txns.txn(t).op(i), backoff,
+                                          deadline)
+                   .ok()) {
             return;
           }
         }
@@ -129,6 +175,7 @@ TEST(ShardedDifferential, CommittedHistoriesReplayOnTheFullChecker) {
       }
     }
     coordinator_rejects += admitter.coordinator().rejects();
+    sheds += tracer.counters().sheds;
   }
 
   // Planted round: T1 = w1[a] w1[b] and T2 = w2[b] w2[a] span the two
@@ -168,6 +215,8 @@ TEST(ShardedDifferential, CommittedHistoriesReplayOnTheFullChecker) {
   EXPECT_GT(aborted_txns, 0u);
   EXPECT_GT(coordinator_rejects, 0u)
       << "the sweep never hit a cross-shard transaction-level cycle";
+  EXPECT_GT(sheds, 0u) << "the fault rounds never shed a transaction";
+  EXPECT_GT(plan_drops.load(), 0u) << "the fault plan never dropped an op";
 }
 
 }  // namespace
