@@ -135,9 +135,11 @@ EOF
 # rounds add stalls, drops, self-aborts, deadlines and shedding, the
 # MVCC snapshot-read fleets whose settledness counters and commit CAS
 # are the fast path's entire synchronization story, and the epoch-GC
-# machinery: the settled-flag publication, the idle-loop collectors
+# machinery: the settled-flag publication, the end-of-drain collectors
 # racing admission, live router swaps racing traffic, and a
-# reduced-round GC'd-vs-unbounded differential).
+# reduced-round GC'd-vs-unbounded differential). Admission is
+# caller-runs, so every one of these races is between client threads
+# handing a shard's drain token to each other.
 # -fno-sanitize-recover turns any report into a non-zero exit.
 cmake --preset tsan
 cmake --build --preset tsan -j"$(nproc)" \

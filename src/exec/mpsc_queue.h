@@ -5,24 +5,25 @@
 // core; this queue is that funnel. The ring is Dmitry Vyukov's bounded MPMC design
 // — one atomic sequence stamp per cell, producers claim cells with a CAS
 // on the tail, the (single) consumer walks the head without contention —
-// restricted here to one consumer, which keeps Dequeue a plain
-// load/store pair on the claimed cell.
+// restricted here to one consumer at a time, which keeps Dequeue a plain
+// load/store pair on the claimed cell. The consumer role may move between
+// threads (the admitter hands it over with its per-shard drain token);
+// the hand-over must be a release/acquire pair, which then also carries
+// the head position.
 //
-// Blocking behavior: TryEnqueue/TryDequeue never block. Enqueue spins
-// with yields while the ring is full (bounded queues are the back-
-// pressure mechanism — a full ring means the admission core is the
-// bottleneck and producers *should* stall). The consumer parks on a
-// condition variable via WaitNonEmpty; producers ring the doorbell only
-// when a waiter advertised itself, so the steady-state enqueue path is
-// two atomic RMWs and no syscalls.
+// Nothing here blocks or sleeps on behalf of the consumer: there is no
+// doorbell. A producer that wants its element handled drains the queue
+// itself or relies on whoever holds the consumer role, and Ready() lets
+// any thread ask whether the head cell is published. TryEnqueue and
+// TryDequeue never block. Enqueue spins with yields while the ring is
+// full (bounded queues are the backpressure mechanism — a full ring
+// means the consumer is the bottleneck and producers *should* stall).
 #ifndef RELSER_EXEC_MPSC_QUEUE_H_
 #define RELSER_EXEC_MPSC_QUEUE_H_
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstddef>
-#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -68,7 +69,6 @@ class MpscQueue {
     }
     cell->value = value;
     cell->sequence.store(pos + 1, std::memory_order_release);
-    RingDoorbell();
     return true;
   }
 
@@ -86,37 +86,25 @@ class MpscQueue {
 
   /// Single-consumer dequeue; false when the ring is empty.
   bool TryDequeue(T* out) {
-    Cell& cell = cells_[head_ & mask_];
-    const std::size_t seq = cell.sequence.load(std::memory_order_acquire);
-    if (static_cast<std::ptrdiff_t>(seq) -
-            static_cast<std::ptrdiff_t>(head_ + 1) <
-        0) {
-      return false;  // empty (or the producer is mid-write)
-    }
+    if (!Ready()) return false;  // empty (or the producer is mid-write)
+    const std::size_t head = head_.load(std::memory_order_relaxed);
+    Cell& cell = cells_[head & mask_];
     *out = cell.value;
-    cell.sequence.store(head_ + mask_ + 1, std::memory_order_release);
-    ++head_;
+    cell.sequence.store(head + mask_ + 1, std::memory_order_release);
+    head_.store(head + 1, std::memory_order_relaxed);
     return true;
   }
 
-  /// Single-consumer park: returns true when an element is (probably)
-  /// ready, false on timeout. Spurious true is fine — callers loop on
-  /// TryDequeue.
-  bool WaitNonEmpty(std::chrono::microseconds timeout) {
-    if (Peek()) return true;
-    std::unique_lock<std::mutex> lock(doorbell_mu_);
-    consumer_waiting_.store(true, std::memory_order_seq_cst);
-    // Re-check after advertising: an enqueue that raced ahead of the
-    // store has already published its cell and may have skipped the
-    // doorbell.
-    if (Peek()) {
-      consumer_waiting_.store(false, std::memory_order_relaxed);
-      return true;
-    }
-    const bool signaled =
-        doorbell_.wait_for(lock, timeout) == std::cv_status::no_timeout;
-    consumer_waiting_.store(false, std::memory_order_relaxed);
-    return signaled || Peek();
+  /// True when the head cell is published, so TryDequeue would succeed.
+  /// Exact for the consumer; any other thread gets a hint that errs
+  /// towards true (a stale head names an already consumed cell).
+  bool Ready() const {
+    const std::size_t head = head_.load(std::memory_order_relaxed);
+    const Cell& cell = cells_[head & mask_];
+    const std::size_t seq = cell.sequence.load(std::memory_order_acquire);
+    return static_cast<std::ptrdiff_t>(seq) -
+               static_cast<std::ptrdiff_t>(head + 1) >=
+           0;
   }
 
  private:
@@ -125,28 +113,12 @@ class MpscQueue {
     T value{};
   };
 
-  /// True when the head cell is published (consumer-side snapshot).
-  bool Peek() const {
-    const Cell& cell = cells_[head_ & mask_];
-    const std::size_t seq = cell.sequence.load(std::memory_order_acquire);
-    return static_cast<std::ptrdiff_t>(seq) -
-               static_cast<std::ptrdiff_t>(head_ + 1) >=
-           0;
-  }
-
-  void RingDoorbell() {
-    if (!consumer_waiting_.load(std::memory_order_seq_cst)) return;
-    std::lock_guard<std::mutex> lock(doorbell_mu_);
-    doorbell_.notify_one();
-  }
-
   std::vector<Cell> cells_;
   std::size_t mask_ = 0;
   std::atomic<std::size_t> tail_{0};  // producers
-  std::size_t head_ = 0;              // consumer-private
-  std::atomic<bool> consumer_waiting_{false};
-  std::mutex doorbell_mu_;
-  std::condition_variable doorbell_;
+  // Written only by the current consumer; atomic so that other threads
+  // may read it for Ready().
+  std::atomic<std::size_t> head_{0};
 };
 
 }  // namespace relser

@@ -47,14 +47,17 @@ void CrossShardCoordinator::Union(TxnId a, TxnId b) {
 bool CrossShardCoordinator::IssuerOnCycleLocked(TxnId issuer_rep) {
   // DFS from the issuer over topology ∪ batch arcs; a path back to the
   // issuer is a cycle through it. Batches are small, so their arcs are
-  // scanned linearly per expansion.
-  std::fill(probe_visited_.begin(), probe_visited_.end(), 0);
+  // scanned linearly per expansion. Only the nodes the previous probe
+  // marked are cleared, so a probe costs what it visits.
+  for (const NodeId node : probe_marked_) probe_visited_[node] = 0;
+  probe_marked_.clear();
   probe_stack_.clear();
   probe_stack_.push_back(static_cast<NodeId>(issuer_rep));
   const auto expand = [&](NodeId to) -> bool {
     if (to == static_cast<NodeId>(issuer_rep)) return true;
     if (probe_visited_[to] == 0) {
       probe_visited_[to] = 1;
+      probe_marked_.push_back(to);
       probe_stack_.push_back(to);
     }
     return false;

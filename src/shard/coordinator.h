@@ -50,8 +50,8 @@
 // global RSG is acyclic — condensing issuer-free cycles loses nothing,
 // since connectivity through a condensed component is preserved. The
 // decomposition is conservative: coordinator rejections may kill
-// interleavings the full checker would admit (measured by
-// bench_sharded's cross-shard sweep), but never the converse, and a
+// interleavings the full checker would admit (perfbench's
+// shard.coordinator_rejects counts them), but never the converse, and a
 // workload with no multi-shard transaction never reaches it at all —
 // which is why single-shard mode makes exactly the serial policy's
 // decisions (tests/serial_oracle.h).
@@ -181,6 +181,7 @@ class CrossShardCoordinator {
   std::vector<std::pair<NodeId, NodeId>> rebuild_buf_;
   mutable std::vector<TxnId> rep_;            // union-find parents
   std::vector<std::uint8_t> probe_visited_;   // issuer-cycle DFS scratch
+  std::vector<NodeId> probe_marked_;  // nodes probe_visited_ has set
   std::vector<NodeId> probe_stack_;
   std::uint64_t cycles_absorbed_ = 0;
   std::uint64_t arcs_mirrored_ = 0;

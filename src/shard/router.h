@@ -17,7 +17,7 @@
 //   kRange  — contiguous object ranges; keeps related keys colocated and
 //             makes cross-shard traffic directly controllable, which the
 //             sharded workload generator (workload/shard_gen.h) and
-//             bench_sharded exploit.
+//             perfbench's two-shard workloads exploit.
 #ifndef RELSER_SHARD_ROUTER_H_
 #define RELSER_SHARD_ROUTER_H_
 

@@ -1,6 +1,7 @@
 #include "shard/sharded_admitter.h"
 
 #include <algorithm>
+#include <thread>
 
 #include "exec/faultplan.h"
 #include "util/check.h"
@@ -77,9 +78,6 @@ void ShardedAdmitter::BuildCores() {
       cores_[shard]->tainted[txn] = 1;
     }
   }
-  for (std::uint32_t shard = 0; shard < shard_count; ++shard) {
-    cores_[shard]->thread = std::thread([this, shard] { CoreLoop(shard); });
-  }
 }
 
 ShardedAdmitter::~ShardedAdmitter() { Stop(); }
@@ -140,54 +138,72 @@ AdmitResult ShardedAdmitter::SubmitAndWait(const Operation& op,
       store_->TryCountEscalation(op.txn);
     }
   }
-  {
-    // Routing + enqueue run under the swap gate (shared side): the
-    // reshard swapper holds it unique while it replaces plan_/cores_.
-    // The gate is never held across a wait.
-    std::shared_lock<std::shared_mutex> gate(swap_gate_);
-    if (txn_open_[op.txn].load(std::memory_order_relaxed) == 0) {
-      if (reshard_pending_.load(std::memory_order_acquire)) {
-        // A router swap is draining: transactions that have not started
-        // yet are refused so the open set shrinks to zero. kRetry is
-        // nothing-was-enqueued, exactly like ring backpressure.
-        retry_count_.fetch_add(1, std::memory_order_relaxed);
-        return AdmitResult::Retry(op.txn);
-      }
-      // The feeding contract makes this thread the transaction's only
-      // submitter, so a plain transition is race-free.
-      txn_open_[op.txn].store(1, std::memory_order_relaxed);
-      open_txns_.fetch_add(1, std::memory_order_acq_rel);
-    }
-    const std::uint32_t shard = plan_->router().ShardOf(op.object);
-    pending_[op.txn].fetch_add(1, std::memory_order_relaxed);
-    submitted_.fetch_add(1, std::memory_order_relaxed);
-    if (!cores_[shard]->queue.TryEnqueue(Request{op, RequestKind::kOp})) {
-      pending_[op.txn].fetch_sub(1, std::memory_order_relaxed);
-      submitted_.fetch_sub(1, std::memory_order_relaxed);
+  // Snapshot before the first drain attempt: a release that follows a
+  // failed take moves it, so the wait below cannot miss a free shard.
+  std::uint64_t releases = drain_releases_.load(std::memory_order_acquire);
+  const bool has_deadline = timeout > std::chrono::microseconds::zero();
+  const auto deadline = has_deadline
+                            ? std::chrono::steady_clock::now() + timeout
+                            : std::chrono::steady_clock::time_point{};
+  // Routing, enqueue and every drain run under the swap gate (shared
+  // side): the reshard swapper holds it unique while it replaces
+  // plan_/cores_. The gate is never held across a wait.
+  std::shared_lock<std::shared_mutex> gate(swap_gate_);
+  if (txn_open_[op.txn].load(std::memory_order_relaxed) == 0) {
+    if (reshard_pending_.load(std::memory_order_acquire)) {
+      // A router swap is draining: transactions that have not started
+      // yet are refused so the open set shrinks to zero. kRetry is
+      // nothing-was-enqueued, exactly like ring backpressure.
       retry_count_.fetch_add(1, std::memory_order_relaxed);
       return AdmitResult::Retry(op.txn);
     }
+    // The feeding contract makes this thread the transaction's only
+    // submitter, so a plain transition is race-free.
+    txn_open_[op.txn].store(1, std::memory_order_relaxed);
+    open_txns_.fetch_add(1, std::memory_order_acq_rel);
+  }
+  const std::uint32_t shard = plan_->router().ShardOf(op.object);
+  pending_[op.txn].fetch_add(1, std::memory_order_relaxed);
+  submitted_.fetch_add(1, std::memory_order_relaxed);
+  if (!cores_[shard]->queue.TryEnqueue(Request{op, RequestKind::kOp})) {
+    pending_[op.txn].fetch_sub(1, std::memory_order_relaxed);
+    submitted_.fetch_sub(1, std::memory_order_relaxed);
+    retry_count_.fetch_add(1, std::memory_order_relaxed);
+    WakeWaiters();  // a Flush may have seen the transient increment
+    return AdmitResult::Retry(op.txn);
   }
   const auto decided = [&] {
     return decision_[gid].load(std::memory_order_acquire) != 0;
   };
-  std::unique_lock<std::mutex> lock(decide_mu_);
-  if (timeout <= std::chrono::microseconds::zero()) {
-    decided_cv_.wait(lock, decided);
-  } else {
-    const auto deadline = std::chrono::steady_clock::now() + timeout;
-    if (!decided_cv_.wait_until(lock, deadline, decided)) {
-      lock.unlock();
-      // Doom the transaction; the shard core publishes the in-flight
-      // decision word when it reaches the operation, so nobody hangs.
-      // Re-derive the owner under the gate: the op was enqueued before
-      // any swap could start, and an open transaction blocks the swap,
-      // so the plan here is the one that routed it.
-      std::shared_lock<std::shared_mutex> gate(swap_gate_);
-      PostControl(plan_->router().ShardOf(op.object), op.txn,
-                  RequestKind::kTimeoutAbort);
-      return AdmitResult::Timeout(op.txn);
+  for (;;) {
+    TryDrain(*cores_[shard]);
+    gate.unlock();
+    if (decided()) break;
+    {
+      // Wait until the word is published or a drain token was released.
+      std::unique_lock<std::mutex> lock(decide_mu_);
+      const auto woken = [&] {
+        return decided() ||
+               drain_releases_.load(std::memory_order_acquire) != releases;
+      };
+      if (!has_deadline) {
+        decided_cv_.wait(lock, woken);
+      } else if (!decided_cv_.wait_until(lock, deadline, woken)) {
+        lock.unlock();
+        gate.lock();
+        if (decided()) break;  // the decision squeaked in after all
+        // Doom the transaction; whoever drains the shard publishes the
+        // in-flight decision word when it reaches the operation, so
+        // nobody hangs.
+        PostControl(shard, op.txn, RequestKind::kTimeoutAbort);
+        return AdmitResult::Timeout(op.txn);
+      }
     }
+    releases = drain_releases_.load(std::memory_order_acquire);
+    gate.lock();
+    // Checked under the gate: an undecided op blocks any swap, so cores_
+    // and `shard` are still the ones it was routed by.
+    if (decided()) break;
   }
   const std::uint8_t word = decision_[gid].load(std::memory_order_acquire);
   return AdmitResult{static_cast<AdmitOutcome>(word - 1), {}, op.txn};
@@ -233,8 +249,16 @@ void ShardedAdmitter::PostControl(std::uint32_t shard, TxnId txn,
   request.op.txn = txn;
   request.kind = kind;
   Core& core = *cores_[shard];
-  std::lock_guard<std::mutex> lock(core.control_mu);
-  core.controls.push_back(request);
+  {
+    std::lock_guard<std::mutex> lock(core.control_mu);
+    core.controls.push_back(request);
+    core.controls_posted.store(true, std::memory_order_release);
+  }
+  // The poster rule: the shard may see no further traffic, so apply the
+  // control now unless the shard is busy (then its holder's re-check
+  // does). Inside another shard's drain this nests at most one
+  // level per shard, since a held token is never re-taken.
+  TryDrain(core);
 }
 
 std::optional<AdmitOutcome> ShardedAdmitter::OpOutcome(
@@ -258,21 +282,33 @@ AdmitResult ShardedAdmitter::TxnVerdict(TxnId txn) {
 }
 
 void ShardedAdmitter::Flush() {
-  std::unique_lock<std::mutex> lock(decide_mu_);
-  decided_cv_.wait(lock, [&] {
+  const auto flushed = [&] {
     return decided_.load(std::memory_order_acquire) ==
            submitted_.load(std::memory_order_acquire);
-  });
+  };
+  for (;;) {
+    const std::uint64_t releases =
+        drain_releases_.load(std::memory_order_acquire);
+    {
+      std::shared_lock<std::shared_mutex> gate(swap_gate_);
+      for (const auto& core : cores_) TryDrain(*core);
+    }
+    std::unique_lock<std::mutex> lock(decide_mu_);
+    decided_cv_.wait(lock, [&] {
+      return flushed() ||
+             drain_releases_.load(std::memory_order_acquire) != releases;
+    });
+    if (flushed()) return;
+  }
 }
 
 void ShardedAdmitter::Stop() {
   if (stopped_) return;
   stopped_ = true;
   Flush();
-  stop_.store(true, std::memory_order_release);
-  for (auto& core : cores_) {
-    if (core->thread.joinable()) core->thread.join();
-  }
+  // A drainer publishes before its GC tick; the unique gate waits until
+  // every drain has returned, and makes its writes visible here.
+  { std::unique_lock<std::shared_mutex> gate(swap_gate_); }
   if (options_.tracer != nullptr) {
     for (const auto& core : cores_) {
       options_.tracer->MergeFrom(core->tracer);
@@ -381,75 +417,85 @@ ShardedAdmitter::ShardStats ShardedAdmitter::shard_stats(
   return stats;
 }
 
-void ShardedAdmitter::CoreLoop(std::uint32_t shard) {
-  Core& core = *cores_[shard];
-  Tracer* const tracer = &core.tracer;
-  std::vector<Request> batch;
-  std::vector<Request> controls;
-  batch.reserve(options_.max_batch);
-  for (;;) {
-    // Controls (kills, aborts, timeouts) ride an unbounded side channel
-    // so cores never spin on each other's bounded rings (a pair of full
-    // rings would otherwise deadlock two cascading cores).
-    controls.clear();
-    {
-      std::lock_guard<std::mutex> lock(core.control_mu);
-      controls.swap(core.controls);
-    }
-    for (const Request& request : controls) {
-      ProcessControl(core, request);
-      ++core.core_steps;
-    }
-    batch.clear();
-    Request request;
-    while (batch.size() < options_.max_batch &&
-           core.queue.TryDequeue(&request)) {
-      batch.push_back(request);
-    }
-    if (controls.empty() && batch.empty()) {
-      if (stop_.load(std::memory_order_acquire)) return;
-      MaybeGcCore(core);
-      core.queue.WaitNonEmpty(std::chrono::microseconds(500));
-      continue;
-    }
-    // Overload control: while above the high-water mark, shed the live
-    // transaction this core saw most recently (at most one per drain).
-    // Entries only ever leave the live state, so dead ones pop for good.
-    if (options_.shed_high_water > 0 &&
-        live_uncommitted_.load(std::memory_order_relaxed) >
-            options_.shed_high_water) {
-      while (!core.seen_order.empty() &&
-             TxnState(core.seen_order.back()) != kStateLive) {
-        core.seen_order.pop_back();
-      }
-      if (!core.seen_order.empty()) {
-        GlobalKill(core, core.seen_order.back(), AdmitOutcome::kShed,
-                   /*cascade=*/false);
-      }
-    }
-    if (tracer->counting() && !batch.empty()) {
-      tracer->NoteQueueDepth(batch.size());
-    }
-    std::size_t ops_in_batch = 0;
-    for (const Request& queued : batch) {
-      Decide(core, queued.op);
-      ++ops_in_batch;
-      ++core.core_steps;
-      if (options_.faults != nullptr) {
-        const std::uint32_t pause_us =
-            options_.faults->CorePauseUs(core.core_steps);
-        if (pause_us > 0) {
-          std::this_thread::sleep_for(std::chrono::microseconds(pause_us));
-        }
-      }
-    }
-    if (tracer->counting() && ops_in_batch > 0) tracer->NoteBatch(ops_in_batch);
-    MaybeGcCore(core);
-    decided_.fetch_add(controls.size() + batch.size(),
-                       std::memory_order_release);
-    { std::lock_guard<std::mutex> lock(decide_mu_); }
-    decided_cv_.notify_all();
+void ShardedAdmitter::TryDrain(Core& core) {
+  // Every caller published its own request before coming here. Work it
+  // cannot see is either decided already or queued behind a producer
+  // still mid-write, which will come here itself.
+  while (HasWork(core) &&
+         !core.draining.exchange(true, std::memory_order_acq_rel)) {
+    while (HasWork(core)) DrainPass(core);
+    // The releasing exchange reads every failed take since ours, so the
+    // loop's re-check sees whatever those takers published.
+    core.draining.exchange(false, std::memory_order_acq_rel);
+    drain_releases_.fetch_add(1, std::memory_order_acq_rel);
+    WakeWaiters();
   }
+}
+
+void ShardedAdmitter::WakeWaiters() {
+  { std::lock_guard<std::mutex> lock(decide_mu_); }
+  decided_cv_.notify_all();
+}
+
+void ShardedAdmitter::DrainPass(Core& core) {
+  Tracer* const tracer = &core.tracer;
+  // Controls (kills, aborts, timeouts) ride an unbounded side channel
+  // so a drainer never spins on another shard's bounded ring (a pair of
+  // full rings would otherwise deadlock two cascading drains).
+  std::vector<Request>& controls = core.control_batch;
+  controls.clear();
+  if (core.controls_posted.load(std::memory_order_acquire)) {
+    std::lock_guard<std::mutex> lock(core.control_mu);
+    controls.swap(core.controls);
+    core.controls_posted.store(false, std::memory_order_relaxed);
+  }
+  for (const Request& request : controls) {
+    ProcessControl(core, request);
+    ++core.core_steps;
+  }
+  std::vector<Request>& batch = core.batch;
+  batch.clear();
+  Request request;
+  while (batch.size() < options_.max_batch &&
+         core.queue.TryDequeue(&request)) {
+    batch.push_back(request);
+  }
+  // Overload control: while above the high-water mark, shed the live
+  // transaction this core saw most recently (at most one per pass).
+  // Entries only ever leave the live state, so dead ones pop for good.
+  if (options_.shed_high_water > 0 &&
+      live_uncommitted_.load(std::memory_order_relaxed) >
+          options_.shed_high_water) {
+    while (!core.seen_order.empty() &&
+           TxnState(core.seen_order.back()) != kStateLive) {
+      core.seen_order.pop_back();
+    }
+    if (!core.seen_order.empty()) {
+      GlobalKill(core, core.seen_order.back(), AdmitOutcome::kShed,
+                 /*cascade=*/false);
+    }
+  }
+  if (tracer->counting() && !batch.empty()) {
+    tracer->NoteQueueDepth(batch.size());
+  }
+  for (const Request& queued : batch) {
+    Decide(core, queued.op);
+    ++core.core_steps;
+    if (options_.faults != nullptr) {
+      const std::uint32_t pause_us =
+          options_.faults->CorePauseUs(core.core_steps);
+      if (pause_us > 0) {
+        std::this_thread::sleep_for(std::chrono::microseconds(pause_us));
+      }
+    }
+  }
+  if (tracer->counting() && !batch.empty()) tracer->NoteBatch(batch.size());
+  // Wake the batch's waiters before the GC tick, so a GC pass delays
+  // only the thread that runs it.
+  decided_.fetch_add(controls.size() + batch.size(),
+                     std::memory_order_release);
+  WakeWaiters();
+  MaybeGcCore(core);
 }
 
 void ShardedAdmitter::ProcessControl(Core& core, const Request& request) {
@@ -961,12 +1007,9 @@ void ShardedAdmitter::InstallRouter(ShardRouter router) {
     if (quiescent()) break;
     gate.unlock();
   }
-  // Park the old cores. decided == submitted also means every control
-  // channel drained, so no kill is half-applied across shards.
-  stop_.store(true, std::memory_order_release);
-  for (auto& core : cores_) {
-    if (core->thread.joinable()) core->thread.join();
-  }
+  // decided == submitted means every control channel drained, so no
+  // kill is half-applied across shards, and the unique gate means no
+  // drain is running: the old cores are idle for good.
   // At the cut nothing unfinished has ever appended (unstarted
   // transactions have no arcs), so this sweep settles ALL history: the
   // swap is a full-history GC tick, and empty fresh cores are exactly
@@ -989,7 +1032,6 @@ void ShardedAdmitter::InstallRouter(ShardRouter router) {
   // strictly before the plan swap.
   cores_.clear();
   plan_ = std::make_unique<ShardPlan>(txns_, spec_, std::move(router));
-  stop_.store(false, std::memory_order_release);
   BuildCores();
   if (archived_tracer_.counting()) {
     archived_tracer_.RecordRouterSwap(

@@ -2,11 +2,30 @@
 // — N shard cores, each a sequential OnlineRsrChecker over its projected
 // sub-schedule, glued by a transaction-level CrossShardCoordinator.
 //
-// Certification mutates one relative serialization graph, so a single
-// checker needs a single admission core: clients funnel requests into
-// it through a bounded MPSC ring (exec/mpsc_queue.h), the core drains
-// them in batches, publishes one decision word per operation and wakes
-// waiters once per batch. ShardRouter(object_count, 1, kRange) is that
+// Certification mutates one relative serialization graph, so each
+// checker needs one decider at a time. A shard core is that state — a
+// bounded MPSC ring (exec/mpsc_queue.h), a control channel, the
+// checker and its bookkeeping — plus a try-acquire drain token, and no
+// thread of its own. Admission is caller-runs (flat combining, Hendler
+// et al., SPAA 2010): a client enqueues its operation, and whichever
+// thread takes the token drains the shard — controls, shedding, one
+// batch of decisions, one decision word published per operation, one
+// wake-up per batch, then the GC pass — on behalf of every client whose
+// request is queued there. Usually that is the client itself, so an
+// uncontended operation is decided on its own thread with no hand-off.
+// A client that finds the token taken waits until its word is published
+// or the shard is free again. Two rules replace a core thread as the
+// reason every request is handled:
+//
+//  * every submitter, and every poster of a control (kills, aborts,
+//    timeouts), tries the token after publishing its request;
+//  * a drainer re-checks ring and controls after releasing the token
+//    (both sides publish, then check, through read-modify-writes of the
+//    token) and drains again if either is non-empty.
+//
+// Flush also drains every shard it finds free. Drains run under the
+// shared side of the reshard gate, so InstallRouter excludes them by
+// taking it unique. ShardRouter(object_count, 1, kRange) is the
 // single-core configuration. With more shards the object space is
 // partitioned (shard/router.h): conflicts are per-object, so every
 // direct conflict is resident on exactly one shard, and each shard core
@@ -43,8 +62,8 @@
 //    at the coordinator (its transaction-level arcs stay behind as
 //    conservative constraints — the durable-arc discipline,
 //    shard/coordinator.h), and cascades to live dirty readers wherever
-//    they live, via unbounded per-core control channels (so cores never
-//    block on each other's rings). Clients can abort voluntarily
+//    they live, via unbounded per-core control channels (so a drainer
+//    never blocks on another shard's ring). Clients can abort voluntarily
 //    (AbortTxn). Committed readers of aborted writers cannot be
 //    cascaded; they are counted as unrecoverable_reads().
 //  * A transaction commits the moment its program-order-last operation
@@ -60,7 +79,8 @@
 //    sheds the live transaction it saw most recently (newest-first keeps
 //    the most-invested work alive), at most one per drain.
 //  * Deterministic fault injection: options.faults pauses each core
-//    after chosen decision steps (exec/faultplan.h).
+//    after chosen decision steps (exec/faultplan.h); the drainer sleeps
+//    holding the token, so the shard stalls as a whole.
 //
 // Feeding contract: all operations of one transaction must be submitted
 // by one thread, in program order, through the blocking entry points
@@ -83,7 +103,6 @@
 #include <mutex>
 #include <optional>
 #include <shared_mutex>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -145,8 +164,8 @@ struct ShardedAdmitterOptions {
 class ShardedAdmitter {
  public:
   /// `txns` and `spec` must outlive the admitter; `router` must
-  /// partition exactly `txns.object_count()` objects. Shard cores start
-  /// immediately.
+  /// partition exactly `txns.object_count()` objects. Starts no thread:
+  /// the calling threads decide (see the file comment).
   ShardedAdmitter(const TransactionSet& txns, const AtomicitySpec& spec,
                   ShardRouter router, ShardedAdmitterOptions options = {});
   ShardedAdmitter(const TransactionSet&, AtomicitySpec&&, ShardRouter,
@@ -157,12 +176,13 @@ class ShardedAdmitter {
   ShardedAdmitter& operator=(const ShardedAdmitter&) = delete;
 
   /// Routes `op` to the shard owning its object and blocks until that
-  /// shard's core decides it. Outcomes: kAccept / kReject (this op
-  /// failed certification; the transaction is being aborted) / a death
-  /// outcome (kAborted, kShed, kTimeout: the transaction died before
-  /// this op was decided) / kRetry (ring full, nothing enqueued; back
-  /// off and resubmit) / kTimeout (the deadline expired first; a
-  /// timeout-abort was scheduled). timeout zero waits forever.
+  /// shard decides it, draining the shard itself whenever it is free.
+  /// Outcomes: kAccept / kReject (this op failed certification; the
+  /// transaction is being aborted) / a death outcome (kAborted, kShed,
+  /// kTimeout: the transaction died before this op was decided) /
+  /// kRetry (ring full, nothing enqueued; back off and resubmit) /
+  /// kTimeout (the deadline expired first; a timeout-abort was
+  /// scheduled). timeout zero waits forever.
   AdmitResult SubmitAndWait(
       const Operation& op,
       std::chrono::microseconds timeout = std::chrono::microseconds::zero());
@@ -190,12 +210,14 @@ class ShardedAdmitter {
     return txn_state_[txn].load(std::memory_order_acquire) == kStateCommitted;
   }
 
-  /// Blocks until every request submitted so far has been decided.
+  /// Blocks until every request submitted so far has been decided,
+  /// draining every shard it finds free.
   void Flush();
 
-  /// Flushes, joins every shard core, and folds the per-core and
-  /// coordinator tracers into options.tracer. Idempotent; called by the
-  /// destructor. No submissions may race with or follow Stop.
+  /// Flushes, waits out every drain still running, and folds the
+  /// per-core and coordinator tracers into options.tracer. Idempotent;
+  /// called by the destructor. No submissions may race with or follow
+  /// Stop.
   void Stop();
 
   std::size_t accepted() const {
@@ -246,7 +268,7 @@ class ShardedAdmitter {
   /// sound by the same argument that justifies truncation — the swap IS
   /// a full-history GC tick. Old core tracers and accept logs are
   /// archived so observability and CommittedLog span the swap. Blocks
-  /// until the new cores are running; safe to call from any thread that
+  /// until the new cores are installed; safe to call from any thread that
   /// is not mid-transaction; must not race Stop or another
   /// InstallRouter. `router` must partition the same object universe.
   void InstallRouter(ShardRouter router);
@@ -275,7 +297,7 @@ class ShardedAdmitter {
   /// The version store backing the fast path; nullptr when off.
   const VersionStore* version_store() const { return store_.get(); }
 
-  /// Race-free live-state high-water marks, sampled by the core threads
+  /// Race-free live-state high-water marks, sampled by the drainers
   /// at every GC tick just BEFORE truncation — i.e. at local maxima of
   /// retained state — so readers never race core-private structures.
   /// Per-core gauges (pool rows, feed entries, memos, accept-log) take
@@ -320,17 +342,24 @@ class ShardedAdmitter {
 
   static constexpr TxnId kNoTxn = ~static_cast<TxnId>(0);
 
-  /// One shard core: ring, control channel, projected checker, conflict
-  /// bookkeeping, taint state, private tracer. Owned via unique_ptr so
-  /// addresses stay stable for the core threads.
+  /// One shard core: ring, control channel, drain token, projected
+  /// checker, conflict bookkeeping, taint state, private tracer. Every
+  /// member below `controls_posted` belongs to the token holder. Owned
+  /// via unique_ptr so addresses stay stable across cores_ growth.
   struct Core {
     Core(const ShardSlice& slice, std::size_t object_count,
          std::size_t txn_count, std::size_t queue_capacity,
          TraceLevel trace_level);
 
     MpscQueue<Request> queue;
+    // True while a thread drains this core. Taken and released with
+    // acq_rel exchanges: a failed take is a release that the holder's
+    // releasing exchange acquires, which is what makes the holder's
+    // re-check see every request published before that take.
+    std::atomic<bool> draining{false};
     std::mutex control_mu;
     std::vector<Request> controls;  // unbounded cross-core channel
+    std::atomic<bool> controls_posted{false};  // controls non-empty
 
     const ShardSlice& slice;
     OnlineRsrChecker checker;  // over slice.txns / slice.spec
@@ -353,6 +382,8 @@ class ShardedAdmitter {
     std::vector<TxnId> seen_order;  // first-seen order (shedding only)
 
     // Scratch, reused across decisions.
+    std::vector<Request> batch;          // one drain pass's ring share
+    std::vector<Request> control_batch;  // one drain pass's controls
     std::vector<std::pair<TxnId, TxnId>> mirror_buf;
     std::vector<TxnId> flood_stack;
     std::vector<TxnId> newly_tainted;  // per-decision taint undo log
@@ -373,19 +404,30 @@ class ShardedAdmitter {
     std::size_t fast_path = 0;
     std::size_t accepts_total = 0;  // survives GC (accept_log shrinks)
     std::uint64_t escalations = 0;
-
-    std::thread thread;
   };
 
-  /// Builds one core per shard of the current plan, applies born-taint,
-  /// and starts the core threads (constructor + InstallRouter).
+  /// Builds one core per shard of the current plan and applies
+  /// born-taint (constructor + InstallRouter).
   void BuildCores();
-  /// GC tick (this core's thread only): when the settled set advanced,
+  /// Drains `core` for as long as this thread can take its token and it
+  /// has work, re-checking after every release. The caller holds
+  /// swap_gate_ shared (a drain reached through PostControl from inside
+  /// another drain runs under that drain's hold).
+  void TryDrain(Core& core);
+  /// One drain pass (token held): controls, shedding, one ring batch,
+  /// publish and wake, then the GC tick.
+  void DrainPass(Core& core);
+  static bool HasWork(const Core& core) {
+    return core.queue.Ready() ||
+           core.controls_posted.load(std::memory_order_acquire);
+  }
+  /// Wakes decided_cv_ waiters (lock-then-notify: no lost wake-ups).
+  void WakeWaiters();
+  /// GC tick (token holder only): when the settled set advanced,
   /// archive/drop settled accept-log entries, truncate the checker and
   /// scrub the newly settled transactions' bookkeeping; the generation's
   /// claim winner also collects coordinator arcs and prunes versions.
   void MaybeGcCore(Core& core);
-  void CoreLoop(std::uint32_t shard);
   void Decide(Core& core, const Operation& op);
   void ProcessControl(Core& core, const Request& request);
   /// CASes `root` dead with `outcome`; on winning, drops its
@@ -405,6 +447,8 @@ class ShardedAdmitter {
   void CountLive(TxnId txn);
   void UncountLive(TxnId txn);
   void Publish(std::size_t gid, TxnId txn, AdmitOutcome outcome);
+  /// Queues a control on `shard` and tries to drain it (the poster
+  /// rule). Caller holds swap_gate_ shared.
   void PostControl(std::uint32_t shard, TxnId txn, RequestKind kind);
   std::uint8_t TxnState(TxnId txn) const {
     return txn_state_[txn].load(std::memory_order_acquire);
@@ -448,11 +492,11 @@ class ShardedAdmitter {
   std::atomic<std::uint64_t> hw_dep_arcs_{0};
 
   // InstallRouter machinery. Clients take swap_gate_ shared around
-  // registration + routing + enqueue (never around waits); the swapper
-  // takes it unique while it rebuilds plan_ and cores_. txn_open_ is
-  // the registration flag (CAS 0 -> 1 under the shared gate; a pending
-  // swap refuses new registrations with kRetry), open_txns_ counts
-  // registered transactions not yet terminal.
+  // registration + routing + enqueue + drain (never around waits); the
+  // swapper takes it unique while it rebuilds plan_ and cores_.
+  // txn_open_ is the registration flag (CAS 0 -> 1 under the shared
+  // gate; a pending swap refuses new registrations with kRetry),
+  // open_txns_ counts registered transactions not yet terminal.
   mutable std::shared_mutex swap_gate_;
   std::atomic<bool> reshard_pending_{false};
   std::vector<std::atomic<std::uint8_t>> txn_open_;
@@ -479,8 +523,10 @@ class ShardedAdmitter {
 
   std::mutex decide_mu_;
   std::condition_variable decided_cv_;
+  // Drain-token releases on any shard: a waiter that snapshots it before
+  // failing to take its shard's token wakes once that shard is free.
+  std::atomic<std::uint64_t> drain_releases_{0};
 
-  std::atomic<bool> stop_{false};
   bool stopped_ = false;  // caller-side (Stop is not thread-safe)
 };
 

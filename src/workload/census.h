@@ -1,5 +1,5 @@
 // The Figure 5 correctness-class census as a library, shared by
-// bench_fig5_census, bench_parallel, and the determinism tests.
+// bench_fig5_census and the determinism tests (tests/exec_test.cc).
 //
 // The census is embarrassingly parallel: each (family, workload) pair is
 // an independent shard seeded by Rng::Split, so the tallies are

@@ -2,7 +2,7 @@
 // cross-shard footprint.
 //
 // The sharded admission subsystem (src/shard/) keys everything on which
-// shards a transaction touches, so its tests and bench_sharded need a
+// shards a transaction touches, so its tests and perfbench need a
 // generator where that is a first-class knob rather than an accident of
 // uniform sampling. Under a RANGE router (shard/router.h) each shard
 // owns a contiguous object range; every transaction here draws a home

@@ -1,7 +1,8 @@
 // Fault-tolerance tests: the exact abort path (RemoveTransactionExact
 // differentially against rebuilt-from-scratch checkers, 500+ seeded
 // rounds), the admitter's abort/cascade/shed/timeout machinery (on the
-// single-core configuration, plus shedding across two shards), and
+// single-core configuration, plus shedding and kill liveness across two
+// shards), and
 // FaultPlan determinism (pure queries — identical at any pool size).
 #include <algorithm>
 #include <atomic>
@@ -664,6 +665,102 @@ TEST(FaultTest, SheddingWithdrawsMultiShardVictimFromEveryShard) {
     EXPECT_NE(op.txn, 1u);
     ASSERT_TRUE(replay.TryAppend(op).ok());
   }
+}
+
+// Liveness of a cross-shard kill: no core thread exists, so the kill
+// control posted to the victim's other shard is applied by its poster.
+// T2 spans both shards; its rejection on shard 0 must withdraw it from
+// shard 1 too, although nothing is ever submitted to shard 1 again. The
+// poster (here the rejected submission's own drain) drains shard 1, so
+// the withdrawal and the epoch finish are done before the rejection is
+// even returned, and Flush finds nothing left to do.
+TEST(FaultTest, CrossShardKillIsAppliedWithoutFurtherTraffic) {
+  auto txns = ParseTransactionSet(
+      "T1 = w1[a] w1[b]\n"
+      "T2 = w2[c] w2[a] r2[b]\n"
+      "T3 = w3[d]\n");
+  ASSERT_TRUE(txns.ok());
+  const AtomicitySpec spec = AbsoluteSpec(*txns);
+  ShardedAdmitterOptions options;
+  options.gc_interval = 0;  // keep both checkers' rows for inspection
+  ShardedAdmitter admitter(
+      *txns, spec, ShardRouter(txns->object_count(), 2, ShardStrategy::kRange),
+      options);
+  // Objects a, b live on shard 0 and c, d on shard 1.
+  const ShardRouter& router = admitter.plan().router();
+  ASSERT_EQ(router.ShardOf(txns->txn(1).op(0).object), 1u);
+  ASSERT_EQ(router.ShardOf(txns->txn(1).op(1).object), 0u);
+  ASSERT_EQ(router.ShardOf(txns->txn(1).op(2).object), 0u);
+
+  EXPECT_TRUE(admitter.SubmitAndWait(txns->txn(1).op(0)));  // w2[c], shard 1
+  EXPECT_TRUE(admitter.SubmitAndWait(txns->txn(1).op(1)));  // w2[a]
+  EXPECT_TRUE(admitter.SubmitAndWait(txns->txn(0).op(0)));  // w1[a]: T2 -> T1
+  EXPECT_TRUE(admitter.SubmitAndWait(txns->txn(0).op(1)));  // w1[b]: T1 commits
+  ASSERT_TRUE(admitter.shard_checker(1).TxnHasExecuted(1));
+  // r2[b] closes T1 -> T2 -> T1 inside T2's atomic unit: shard 0 rejects.
+  EXPECT_EQ(admitter.SubmitAndWait(txns->txn(1).op(2)), AdmitOutcome::kReject);
+  EXPECT_FALSE(admitter.shard_checker(1).TxnHasExecuted(1))
+      << "the kill control on shard 1 was left for a later drain";
+  EXPECT_EQ(admitter.epochs()->finished_count(), 2u)
+      << "T2's epoch finish waits for shard 1's withdrawal";
+
+  admitter.Flush();
+  EXPECT_EQ(admitter.TxnVerdict(1), AdmitOutcome::kAborted);
+  EXPECT_TRUE(admitter.TxnCommitted(0));
+  EXPECT_FALSE(admitter.shard_checker(1).TxnHasExecuted(1));
+  EXPECT_EQ(admitter.epochs()->finished_count(), 2u);
+  admitter.Stop();
+  EXPECT_EQ(admitter.shard_checker(1).executed_count(), 0u);
+  EXPECT_EQ(admitter.shard_checker(0).executed_count(), 2u);
+}
+
+// A deadline runs out while another client drains the shard and sits in
+// a fault-plan pause holding the drain token: the waiter must not wait
+// for the token, it returns kTimeout, and the drainer still publishes
+// the abandoned operation's word (as the timeout death) once it resumes.
+TEST(FaultTest, DeadlineExpiresWhileTheDrainerIsPaused) {
+  auto txns = ParseTransactionSet(
+      "T1 = w1[a]\n"
+      "T2 = w2[b]\n");
+  ASSERT_TRUE(txns.ok());
+  const AtomicitySpec spec = FullyRelaxedSpec(*txns);
+  // A plan whose first decision step pauses for at least 200 ms and
+  // whose next two (the timeout control, then T2's operation) do not.
+  FaultPlanParams fp;
+  fp.core_pause_prob = 0.5;
+  fp.max_core_pause_us = 300'000;
+  std::optional<FaultPlan> plan;
+  for (std::uint64_t seed = 1; !plan.has_value(); ++seed) {
+    const FaultPlan candidate(seed, fp);
+    if (candidate.CorePauseUs(1) >= 200'000 && candidate.CorePauseUs(2) == 0 &&
+        candidate.CorePauseUs(3) == 0) {
+      plan = candidate;
+    }
+  }
+  ShardedAdmitterOptions options;
+  options.faults = &*plan;
+  ShardedAdmitter admitter(*txns, spec, SingleShard(*txns), options);
+  const Operation& first = txns->txn(0).op(0);
+  const Operation& late = txns->txn(1).op(0);
+
+  AdmitOutcome first_outcome = AdmitOutcome::kRetry;
+  std::thread drainer(
+      [&] { first_outcome = admitter.SubmitAndWait(first).outcome; });
+  // The word is published before the pause that follows the decision.
+  while (!admitter.OpOutcome(first).has_value()) std::this_thread::yield();
+  const AdmitResult timed_out =
+      admitter.SubmitAndWait(late, std::chrono::milliseconds(10));
+  EXPECT_EQ(timed_out.outcome, AdmitOutcome::kTimeout);
+  drainer.join();
+  EXPECT_EQ(first_outcome, AdmitOutcome::kAccept);
+
+  admitter.Flush();
+  ASSERT_TRUE(admitter.OpOutcome(late).has_value())
+      << "the abandoned operation's word was never published";
+  EXPECT_EQ(*admitter.OpOutcome(late), AdmitOutcome::kTimeout);
+  EXPECT_EQ(admitter.TxnVerdict(1), AdmitOutcome::kTimeout);
+  admitter.Stop();
+  EXPECT_EQ(admitter.shard_checker(0).executed_count(), 1u);
 }
 
 // Backpressure and deadlines: a fault plan that pauses the admission

@@ -107,15 +107,15 @@ TEST(ShardedDifferential, CommittedHistoriesReplayOnTheFullChecker) {
     const double abort_prob = rng.UniformDouble() * 0.2;
     std::vector<std::uint64_t> seeds(txns.txn_count());
     for (auto& seed : seeds) seed = rng.Next();
-    // Fault-round clients start together, so that enough transactions
-    // are live at once for shedding to fire even where thread start-up
-    // is slow (sanitizer builds).
+    // Clients start together, so that enough transactions are live at
+    // once for shedding to fire and for cross-shard cycles to form even
+    // where thread start-up is slow (sanitizer builds).
     std::latch start(static_cast<std::ptrdiff_t>(txns.txn_count()));
     std::vector<std::thread> clients;
     clients.reserve(txns.txn_count());
     for (TxnId t = 0; t < txns.txn_count(); ++t) {
       clients.emplace_back([&, t] {
-        if (fault_round) start.arrive_and_wait();
+        start.arrive_and_wait();
         Rng local(seeds[t]);
         Backoff backoff(seeds[t] ^ 0xB0FF);
         const auto size = static_cast<std::uint32_t>(txns.txn(t).size());

@@ -505,9 +505,9 @@ int RunDemo(const CliOptions& cli) {
 
 // -- Self-audit mode --------------------------------------------------
 
-// Runs a client fleet through a ShardedAdmitter (the bench_sharded
-// cell shape) and audits the merged committed log: the subsystem's
-// output must itself pass the auditor it was built against.
+// Runs a client fleet through a range-sharded ShardedAdmitter and
+// audits the merged committed log: the subsystem's output must itself
+// pass the auditor it was built against.
 int RunSelfAudit(const CliOptions& cli) {
   Rng rng(cli.seed);
   ShardedWorkloadParams wp;
